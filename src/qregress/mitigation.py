@@ -29,6 +29,8 @@ class ConfusionSet:
                 raise ValueError("confusion matrices must be 2x2 and non-negative")
             if np.abs(m.sum(axis=0) - 1.0).max() > 1e-9:
                 raise ValueError("confusion matrix columns must sum to 1")
+            if abs(np.linalg.det(m)) <= 1e-12:
+                raise ValueError("confusion matrix is singular; readout cannot be inverted")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -79,11 +81,15 @@ def _marginal_one(counts: Counts, qubit: int) -> float:
 def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]:
     """Quasi-probabilities after inverting the readout confusion.
 
-    The tensor-product confusion matrix is restricted to the observed
-    bitstrings and solved directly; if that restricted system is singular
-    the full per-qubit inverse is applied instead.  Negative entries are
-    clipped and the result renormalized to sum to one.  With identity
-    confusion the empirical frequencies come back unchanged.
+    The tensor-product confusion matrix is restricted to the n observed
+    bitstrings (sorted) and solved directly.  The n x n restricted matrix
+    is built with one broadcast product per qubit, A *= M_q[b_q, b_q^T]
+    over the observed bit columns b_q, in qubit order, so every entry is
+    the same float as the per-entry product M_0[..] * M_1[..] * ...  If the
+    restricted system is singular the full per-qubit inverse is applied
+    instead.  Negative entries are clipped and the result renormalized to
+    sum to one.  With identity confusion the empirical frequencies come
+    back unchanged.
     """
     if not counts.counts:
         raise ValueError("counts must be non-empty")
@@ -94,19 +100,11 @@ def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]
     freq = np.array([counts.counts[b] / counts.shots for b in observed])
     if confusion.is_identity:
         return {b: float(f) for b, f in zip(observed, freq)}
-    values = [int(b, 2) for b in observed]
-    n = len(observed)
-    a = np.ones((n, n))
-    for row, vi in enumerate(values):
-        for col, vj in enumerate(values):
-            p = 1.0
-            for q in range(width):
-                p *= confusion.matrices[q][(vi >> q) & 1, (vj >> q) & 1]
-            a[row, col] = p
+    values = np.array([int(b, 2) for b in observed])
     try:
-        quasi = np.linalg.solve(a, freq)
+        quasi = np.linalg.solve(_restricted_matrix(confusion, width, values), freq)
     except np.linalg.LinAlgError:
-        quasi = _full_inverse(counts, confusion, width, observed)
+        quasi = _full_inverse(freq, values, confusion, width)
     clipped = np.clip(quasi, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:
@@ -115,13 +113,21 @@ def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]
     return {b: float(p) for b, p in zip(observed, clipped) if p > 0.0}
 
 
-def _full_inverse(counts: Counts, confusion: ConfusionSet, width: int, observed):
+def _restricted_matrix(confusion: ConfusionSet, width: int, values: np.ndarray):
+    """Tensor-product confusion restricted to the observed outcome indices:
+    A[i, j] = prod_q M_q[bit_q(values[i]), bit_q(values[j])]."""
+    a = np.ones((values.shape[0], values.shape[0]))
+    for q in range(width):
+        bits = (values >> q) & 1
+        a *= confusion.matrices[q][bits[:, None], bits[None, :]]
+    return a
+
+
+def _full_inverse(freq, values, confusion: ConfusionSet, width: int):
     """Fallback: exact tensor-product inverse over the full index space,
-    restricted back to the observed bitstrings."""
-    dim = 2**width
-    vec = np.zeros(dim)
-    for bs, c in counts.counts.items():
-        vec[int(bs, 2)] = c / counts.shots
+    restricted back to the observed outcome indices."""
+    vec = np.zeros(2**width)
+    vec[values] = freq
     state = vec.reshape([2] * width)
     for q in range(width):
         inv = np.linalg.inv(confusion.matrices[q])
@@ -129,8 +135,7 @@ def _full_inverse(counts: Counts, confusion: ConfusionSet, width: int, observed)
         state = np.moveaxis(
             np.tensordot(inv, np.moveaxis(state, axis, 0), axes=([1], [0])), 0, axis
         )
-    flat = state.reshape(-1)
-    return np.array([flat[int(b, 2)] for b in observed])
+    return state.reshape(-1)[values]
 
 
 def expectation_error_study(

@@ -195,18 +195,19 @@ def _counts_from_indices(indices: np.ndarray, width: int, shots: int, seed) -> C
 # --- trajectory sampling ------------------------------------------------------
 
 def _apply_pauli(state: np.ndarray, qubit: int, code: int, width: int) -> np.ndarray:
-    """Apply X (1), Y (2) or Z (3) on one qubit."""
-    view = state.reshape(2 ** (width - 1 - qubit), 2, 2**qubit)
+    """Apply X (1), Y (2) or Z (3) on one qubit of a state or a (rows, 2**width)
+    block of states."""
+    view = state.reshape(state.shape[:-1] + (2 ** (width - 1 - qubit), 2, 2**qubit))
     out = np.empty_like(view)
     if code == 1:
-        out[:, 0], out[:, 1] = view[:, 1], view[:, 0]
+        out[..., 0, :], out[..., 1, :] = view[..., 1, :], view[..., 0, :]
     elif code == 2:
-        out[:, 0], out[:, 1] = -1j * view[:, 1], 1j * view[:, 0]
+        out[..., 0, :], out[..., 1, :] = -1j * view[..., 1, :], 1j * view[..., 0, :]
     elif code == 3:
-        out[:, 0], out[:, 1] = view[:, 0], -view[:, 1]
+        out[..., 0, :], out[..., 1, :] = view[..., 0, :], -view[..., 1, :]
     else:
         raise ValueError("pauli code must be 1, 2 or 3")
-    return out.reshape(-1)
+    return out.reshape(state.shape)
 
 
 def _apply_fault(state: np.ndarray, gate, pauli_code: int, width: int) -> np.ndarray:
@@ -235,20 +236,18 @@ def _sample_fault_patterns(circuit: Circuit, shots: int, noise: NoiseModel, rng)
         return patterns
     hits = rng.random((shots, len(gates))) < probs[None, :]
     shot_rows, gate_cols = np.nonzero(hits)
-    codes = np.empty(shot_rows.shape[0], dtype=np.int64)
-    for i, gi in enumerate(gate_cols):
-        if gates[gi].kind == "cnot":
-            codes[i] = rng.integers(1, 16)
-        else:
-            codes[i] = rng.integers(1, 4)
-    per_shot: dict[int, list[tuple[int, int]]] = {}
-    for s, gi, code in zip(shot_rows, gate_cols, codes):
-        per_shot.setdefault(int(s), []).append((int(gi), int(code)))
-    clean = shots - len(per_shot)
+    # one draw per fault in (shot, gate) order; an array ``high`` yields the
+    # same stream as one scalar call per fault
+    highs = np.array([16 if g.kind == "cnot" else 4 for g in gates])
+    codes = rng.integers(1, highs[gate_cols])
+    faults = list(zip(gate_cols.tolist(), codes.tolist()))
+    # nonzero is row-major: each faulted shot is one contiguous run
+    starts = np.flatnonzero(np.diff(shot_rows, prepend=-1)).tolist()
+    clean = shots - len(starts)
     if clean:
         patterns[()] = clean
-    for faults in per_shot.values():
-        key = tuple(faults)
+    for a, b in zip(starts, starts[1:] + [len(faults)]):
+        key = tuple(faults[a:b])
         patterns[key] = patterns.get(key, 0) + 1
     return patterns
 
@@ -354,12 +353,15 @@ def _pattern_states(cache: _SegmentCache, keys: list[tuple]) -> np.ndarray:
             states[row] = cache.final_state(key)
 
     def faulted_prefix(rows: list[int], gi: int) -> np.ndarray:
+        """Prefix state after gate gi with each row's first fault inserted;
+        each distinct fault code is applied once."""
         gate = cache.circuit.gates[gi]
-        block = np.empty((len(rows), dim), dtype=complex)
-        for b, row in enumerate(rows):
-            code = next(c for g, c in keys[row] if g == gi)
-            block[b] = _apply_fault(cache.prefix[gi + 1].copy(), gate, code, cache.width)
-        return block
+        codes = [keys[row][0][1] for row in rows]
+        faulted = {
+            code: _apply_fault(cache.prefix[gi + 1], gate, code, cache.width)
+            for code in set(codes)
+        }
+        return np.stack([faulted[code] for code in codes])
 
     for gi, rows in singles.items():
         block = faulted_prefix(rows, gi)
@@ -381,8 +383,10 @@ def _pattern_states(cache: _SegmentCache, keys: list[tuple]) -> np.ndarray:
         gate = cache.circuit.gates[gj]
         dag = cache.dagger[gj + 1]
         block = np.stack([evolved[row] for row in rows]) @ dag.T
-        for b, row in enumerate(rows):
-            block[b] = _apply_fault(block[b], gate, keys[row][1][1], cache.width)
+        codes = np.array([keys[row][1][1] for row in rows])
+        for code in np.unique(codes).tolist():
+            hit = codes == code
+            block[hit] = _apply_fault(block[hit], gate, code, cache.width)
         states[rows] = np.conj(np.conj(block) @ dag)
     return states
 
@@ -545,6 +549,8 @@ def loss_from_run(
             effective_shots=None,
         )
     if estimator == "shadow":
+        if batches < 1:
+            raise ValueError("need at least one batch")
         if shots % batches:
             raise ValueError("shots must divide evenly across batches")
         estimates = _batched_estimates(
@@ -567,8 +573,6 @@ def _batched_estimates(
     The per-shot stream is shuffled, so contiguous chunks are exchangeable
     with independent runs of shots/batches each.
     """
-    if batches < 1:
-        raise ValueError("need at least one batch")
     per_batch = shots // batches
     indices = _sample_indices(circuit, shots, seed, noise)
     out = []
@@ -597,11 +601,10 @@ def shadow_estimate(
 
     The shot budget splits evenly across ``batches`` groups; starved
     batches are dropped with a warning.  With one batch this reduces to
-    the plain estimator.
+    the plain estimator.  This is the loss of ``loss_from_run`` with
+    ``estimator='shadow'``.
     """
-    if shots % batches:
-        raise ValueError("shots must divide evenly across batches")
-    estimates = _batched_estimates(
-        circuit, layout, shots, batches, seed, noise, confusion
-    )
-    return float(np.median([e.loss for e in estimates]))
+    return loss_from_run(
+        circuit, layout, shots, seed, noise,
+        estimator="shadow", batches=batches, confusion=confusion,
+    ).loss

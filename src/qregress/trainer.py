@@ -228,10 +228,28 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.optimizer not in ("adam", "nelder-mead"):
+            raise ValueError("optimizer must be 'adam' or 'nelder-mead'")
+        if self.estimator not in ("xbasis", "shadow"):
+            raise ValueError("estimator must be 'xbasis' or 'shadow'")
+        if self.gradient_mode not in ("exact-shift", "two-term"):
+            raise ValueError("gradient mode must be 'exact-shift' or 'two-term'")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shots must be at least 1, or None for exact mode")
+        if self.shadow_batches < 1:
+            raise ValueError("shadow batches must be at least 1")
+        if (
+            self.estimator == "shadow"
+            and self.shots is not None
+            and self.shots % self.shadow_batches
+        ):
+            raise ValueError("shots must divide evenly across shadow batches")
 
     def as_dict(self) -> dict:
         return {
@@ -341,8 +359,6 @@ def fit_quantum(
     model = TrainedModel(phis=phis, weights=None, history=[], config=config)
     if config.optimizer == "nelder-mead":
         return _fit_nelder_mead(train, test, config, phis, confusion, rng, model)
-    if config.optimizer != "adam":
-        raise ValueError("optimizer must be 'adam' or 'nelder-mead'")
 
     state = AdamState.initial(phis)
     n_batches = max(1, train.n_rows // config.batch_size)

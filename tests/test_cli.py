@@ -264,6 +264,18 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_uneven_shadow_split_is_input_error(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(
+            [
+                "train", "--synthetic", "16x1", "--model", "sampled",
+                "--estimator", "shadow", "--shots", "1001", "--noise", "default",
+                "--mitigate", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not (out / "report.json").exists()
+
 
 @pytest.mark.slow
 class TestSeededStudies:

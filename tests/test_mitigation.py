@@ -2,8 +2,22 @@ import numpy as np
 import pytest
 
 import qregress as q
+from qregress import mitigation
 from qregress.mitigation import ConfusionSet, expectation_error_study, mitigate_counts
 from qregress.simulator import Counts
+
+
+def _restricted_matrix_reference(confusion, width, values):
+    """Per-entry product over qubits, one scalar at a time."""
+    n = len(values)
+    a = np.ones((n, n))
+    for row, vi in enumerate(values):
+        for col, vj in enumerate(values):
+            p = 1.0
+            for qubit in range(width):
+                p *= confusion.matrices[qubit][(vi >> qubit) & 1, (vj >> qubit) & 1]
+            a[row, col] = p
+    return a
 
 
 class TestCalibration:
@@ -56,6 +70,41 @@ class TestMitigateCounts:
         with pytest.raises(ValueError):
             mitigate_counts(Counts({}, 0, None, 1), ConfusionSet.identity(1))
 
+    def test_restricted_matrix_matches_per_entry_loop(self, rng):
+        for width in range(1, 9):
+            for trial in range(4):
+                conf = ConfusionSet.from_flip_rates(rng.uniform(0.0, 0.3, size=(width, 2)))
+                n = 2**width if trial == 0 else int(rng.integers(1, 2**width + 1))
+                values = np.sort(rng.choice(2**width, size=n, replace=False))
+                np.testing.assert_array_equal(
+                    mitigation._restricted_matrix(conf, width, values),
+                    _restricted_matrix_reference(conf, width, values.tolist()),
+                )
+
+    def test_singular_restricted_system_takes_full_inverse(self, monkeypatch):
+        # qubit 0 always flips: the restricted matrix over 00, 01, 10 has
+        # proportional rows 00 and 10, while the full 4x4 confusion inverts
+        conf = ConfusionSet.from_flip_rates([(1.0, 1.0), (0.1, 0.1)])
+        counts = Counts({"00": 500, "01": 300, "10": 200}, 1000, None, 2)
+        calls = []
+        original = mitigation._full_inverse
+
+        def spy(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mitigation, "_full_inverse", spy)
+        out = mitigate_counts(counts, conf)
+        assert len(calls) == 1
+        dense = np.kron(conf.matrices[1], conf.matrices[0])  # index = 2*b1 + b0
+        freq = np.array([0.5, 0.3, 0.2, 0.0])
+        quasi = np.linalg.solve(dense, freq)[:3]
+        assert np.abs(calls[0] - quasi).max() <= 1e-12
+        clipped = np.clip(quasi, 0.0, None)
+        expected = clipped / clipped.sum()
+        for bs, p in zip(("00", "01", "10"), expected):
+            assert abs(out.get(bs, 0.0) - p) <= 1e-12
+
     def test_study_mitigation_wins(self, rng):
         circ = q.new_circuit(4)
         for qubit in range(4):
@@ -70,6 +119,11 @@ class TestConfusionSet:
     def test_columns_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ConfusionSet((np.array([[0.9, 0.0], [0.2, 1.0]]),))
+
+    @pytest.mark.parametrize("rates", [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0)])
+    def test_singular_matrix_rejected(self, rates):
+        with pytest.raises(ValueError, match="singular"):
+            ConfusionSet.from_flip_rates([(0.02, 0.02), rates])
 
     def test_from_flip_rates(self):
         conf = ConfusionSet.from_flip_rates([(0.1, 0.2)])

@@ -190,6 +190,28 @@ class TestR2:
             q.r2_score(np.ones(4), np.zeros(4))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"optimizer": "sgd"}, "optimizer"),
+            ({"estimator": "shadows"}, "estimator"),
+            ({"gradient_mode": "two_term"}, "gradient mode"),
+            ({"shots": 0}, "shots"),
+            ({"shadow_batches": 0}, "shadow batches"),
+            ({"estimator": "shadow", "shots": 1001}, "divide evenly"),
+            ({"iterations": -1}, "iterations"),
+        ],
+    )
+    def test_bad_field_rejected_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            q.TrainConfig(**fields)
+
+    def test_uneven_split_allowed_for_plain_or_exact(self):
+        q.TrainConfig(estimator="xbasis", shots=1001)
+        q.TrainConfig(estimator="shadow", shots=None)
+
+
 class TestFitQuantum:
     def test_zero_iterations_returns_init(self, rng):
         table, _ = q.synthetic_linear_table(16, 3, seed=3)
