@@ -39,11 +39,6 @@ class DataTable:
         return self.values.shape[1] - 1
 
     @property
-    def n_entries(self) -> int:
-        """Total entry count L*(M+1) before padding."""
-        return self.values.size
-
-    @property
     def response(self) -> np.ndarray:
         return self.values[:, 0]
 
@@ -114,9 +109,6 @@ class RegisterLayout:
     @property
     def data_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.n_data))
-
-    def flat_index(self, row: int, col: int) -> int:
-        return row * self.m_pad + col
 
     def to_obj(self, scale: float | None = None) -> dict:
         return {

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import circuit as cir
 from .circuit import Circuit
-from .simulator import Counts, NoiseModel, sample
+from .simulator import Counts, NoiseModel, _bitstring_values, sample
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def calibrate_readout(
 
 
 def _marginal_one(counts: Counts, qubit: int) -> float:
-    hits = sum(c for bs, c in counts.counts.items() if (int(bs, 2) >> qubit) & 1)
-    return hits / counts.shots
+    bits = (_bitstring_values(counts.counts) >> qubit) & 1
+    return int(np.dot(bits, list(counts.counts.values()))) / counts.shots
 
 
 def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]:
@@ -100,7 +100,7 @@ def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]
     freq = np.array([counts.counts[b] / counts.shots for b in observed])
     if confusion.is_identity:
         return {b: float(f) for b, f in zip(observed, freq)}
-    values = np.array([int(b, 2) for b in observed])
+    values = _bitstring_values(observed)
     try:
         quasi = np.linalg.solve(_restricted_matrix(confusion, width, values), freq)
     except np.linalg.LinAlgError:
@@ -179,6 +179,6 @@ def expectation_error_study(
 
 def _z_expectation(freqs: dict[str, float], qubit: int) -> float:
     val = 0.0
-    for bs, f in freqs.items():
-        val += -f if (int(bs, 2) >> qubit) & 1 else f
+    for f, v in zip(freqs.values(), _bitstring_values(freqs).tolist()):
+        val += -f if (v >> qubit) & 1 else f
     return val

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import circuit as cir
 from .circuit import Circuit, CountReport, Gate, gate_counts
-from .synthesis import decompose_all_mcrz
+from .synthesis import _uniform_block, decompose_all_mcrz
 
 _ZERO_COEFF = 1e-12
 
@@ -173,44 +173,25 @@ class PhasePolynomial:
         )
 
 
-def _annotate(circ: Circuit, keep_zeros: bool):
-    """Wire-annotation sweep shared by extraction and folding.
+def _parity_sweep(gates, masks: list[int], bits: list[int]):
+    """The one wire-annotation sweep, shared by extraction and folding.
 
-    Returns (terms, order, a_rows, b, dropped_global): ``terms[y]`` are the
-    accumulated coefficients, ``order`` the masks in first-appearance order.
+    Walks an {X, CNOT, RZ} run, updating in place ``masks[q]``, the
+    input-parity mask that wire q carries, and ``bits[q]``, its X flip bit.
+    Yields (gate, mask, bit) for each gate, read from the gate's last wire
+    after it acts: for an RZ, the parity it rotates and whether its sign is
+    flipped.  Lazy, so a long run costs no per-rotation list.
     """
-    masks = [1 << q for q in range(circ.width)]
-    bits = [0] * circ.width
-    terms: dict[int, float] = {}
-    order: list[int] = []
-    dropped = 0
-    for g in circ:
+    for g in gates:
+        q = g.qubits[-1]
         if g.kind == "x":
-            bits[g.qubit] ^= 1
+            bits[q] ^= 1
         elif g.kind == "cnot":
-            masks[g.target] ^= masks[g.control]
-            bits[g.target] ^= bits[g.control]
-        elif g.kind == "rz":
-            y = masks[g.qubit]
-            if y == 0:
-                dropped += 1  # contributes only a global phase
-                continue
-            signed = -g.angle if bits[g.qubit] else g.angle
-            if y in terms:
-                terms[y] += signed
-            else:
-                terms[y] = signed
-                order.append(y)
-        else:
+            masks[q] ^= masks[g.control]
+            bits[q] ^= bits[g.control]
+        elif g.kind != "rz":
             raise ValueError(f"unsupported gate kind {g.kind!r} for phase analysis")
-    if not keep_zeros:
-        for y in [y for y, a in terms.items() if abs(a) <= _ZERO_COEFF]:
-            del terms[y]
-        order = [y for y in order if y in terms]
-    b = 0
-    for q, bit in enumerate(bits):
-        b |= bit << q
-    return terms, order, tuple(masks), b, dropped
+        yield g, masks[q], bits[q]
 
 
 def extract_phase_polynomial(circ: Circuit) -> PhasePolynomial:
@@ -219,8 +200,18 @@ def extract_phase_polynomial(circ: Circuit) -> PhasePolynomial:
     Coefficients below 1e-12 and the empty parity (a global phase) are
     dropped.
     """
-    terms, _, a_rows, b, _ = _annotate(circ, keep_zeros=False)
-    return PhasePolynomial(circ.width, terms, a_rows, b)
+    masks = [1 << q for q in range(circ.width)]
+    bits = [0] * circ.width
+    terms: dict[int, float] = {}
+    for g, y, flip in _parity_sweep(circ, masks, bits):
+        if g.kind != "rz" or y == 0:
+            continue  # an RZ on the empty parity is only a global phase
+        signed = -g.angle if flip else g.angle
+        terms[y] = terms[y] + signed if y in terms else signed
+    for y in [y for y, a in terms.items() if abs(a) <= _ZERO_COEFF]:
+        del terms[y]
+    b = sum(bit << q for q, bit in enumerate(bits))
+    return PhasePolynomial(circ.width, terms, tuple(masks), b)
 
 
 def _grouped_masks(terms: dict[int, float]):
@@ -234,35 +225,35 @@ def _grouped_masks(terms: dict[int, float]):
 def resynthesize(poly: PhasePolynomial, width: int) -> Circuit:
     """Emit a circuit realizing ``poly`` (trivial affine part required).
 
-    Parities are grouped by host wire, each group realized as one closed
-    Gray cycle over the union of its control bits; rotations with zero or
-    absent coefficients are elided, the CNOT walk is kept whole.
+    Parities are grouped by host wire, each group realized as one plain
+    ``_uniform_block`` over the union of its control bits, with the angle of
+    control-index mask y read from the parity (1 << host) | (its controls).
+    For n >= 1 controls, rotations with zero or absent coefficients
+    (|c| <= 1e-12) are elided and the CNOT walk is kept whole; a group with
+    no controls emits its single RZ unelided.
     """
     if not poly.affine_is_identity:
         raise ValueError("resynthesize requires an identity affine part")
     if any(y >> width for y in poly.terms):
         raise ValueError("parity mask exceeds the requested width")
-    from .synthesis import gray_sequence  # local to avoid import cycle
-
     gates: list[Gate] = []
     for host, masks in _grouped_masks(poly.terms).items():
         union = 0
         for y in masks:
             union |= y & ~(1 << host)
         controls = [q for q in range(width) if (union >> q) & 1]
-        n = len(controls)
-        if n == 0:
+        if not controls:
             gates.append(cir.rz(host, poly.terms[1 << host]))
             continue
-        seq = gray_sequence(n)
-        parity = 0
-        for k in range(2**n):
-            mask = (1 << host) | parity
-            coeff = poly.terms.get(mask, 0.0)
-            if abs(coeff) > _ZERO_COEFF:
-                gates.append(cir.rz(host, coeff))
-            gates.append(cir.cnot(controls[seq[k]], host))
-            parity ^= 1 << controls[seq[k]]
+        parities = [1 << host]
+        for c in controls:
+            parities += [y | (1 << c) for y in parities]
+        angles = [poly.terms.get(y, 0.0) for y in parities]
+        gates += [
+            g
+            for g in _uniform_block(controls, host, angles, pushed=False)
+            if g.kind == "cnot" or abs(g.angle) > _ZERO_COEFF
+        ]
     return Circuit(width, tuple(gates))
 
 
@@ -313,34 +304,23 @@ def _fold_segment(segment: list[Gate], width: int) -> tuple[list[Gate], int, int
     """Fold one {X, CNOT, RZ} run: merge same-parity rotations into their
     first occurrence (zero results kept in place), drop global-phase
     rotations, then cancel the CNOT pairs the merges exposed."""
-    masks = [1 << q for q in range(width)]
-    bits = [0] * width
     out: list[Gate] = []
     first: dict[int, tuple[int, int]] = {}
     merged = dropped = 0
-    for g in segment:
-        if g.kind == "x":
-            bits[g.qubit] ^= 1
+    for g, y, b in _parity_sweep(segment, [1 << q for q in range(width)], [0] * width):
+        if g.kind != "rz":
             out.append(g)
-        elif g.kind == "cnot":
-            masks[g.target] ^= masks[g.control]
-            bits[g.target] ^= bits[g.control]
+        elif y == 0:
+            dropped += 1
+        elif y in first:
+            pos, b0 = first[y]
+            host = out[pos]
+            delta = -g.angle if b != b0 else g.angle
+            out[pos] = host.shifted(host.angle + delta)
+            merged += 1
+        else:
+            first[y] = (len(out), b)
             out.append(g)
-        else:  # rz
-            y = masks[g.qubit]
-            b = bits[g.qubit]
-            if y == 0:
-                dropped += 1
-                continue
-            if y in first:
-                pos, b0 = first[y]
-                host = out[pos]
-                delta = -g.angle if b != b0 else g.angle
-                out[pos] = host.shifted(host.angle + delta)
-                merged += 1
-            else:
-                first[y] = (len(out), b)
-                out.append(g)
     out, cancelled = _cancel_cnot_pairs(out)
     return out, merged, dropped, cancelled
 
@@ -391,9 +371,7 @@ def optimize_pipeline(circ: Circuit) -> tuple[Circuit, PassReport]:
     """decompose mcrz -> push X -> fold phases -> push H."""
     before = circ
     staged = decompose_all_mcrz(circ)
-    rewrites: list[str] = []
-    if staged is not circ:
-        rewrites.append(f"mcrz-decomposed: {gate_counts(circ).mcrz}")
+    rewrites = [f"mcrz-decomposed: {gate_counts(circ).mcrz}"]
     staged, rep = push_paulis(staged)
     rewrites += [f"pauli/{r}" for r in rep.rewrites]
     staged, rep = fold_phases(staged)

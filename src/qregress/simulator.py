@@ -72,14 +72,6 @@ def project(state: np.ndarray, qubit: int, basis: str, outcome: int):
     return projected, prob
 
 
-def outcome_probability(state: np.ndarray, qubit: int, basis: str, outcome: int) -> float:
-    """Probability of one single-qubit outcome (0.0 when degenerate)."""
-    try:
-        return project(state, qubit, basis, outcome)[1]
-    except DegenerateProjectionError:
-        return 0.0
-
-
 # --- noise model -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -103,11 +95,18 @@ class NoiseModel:
                 raise ValueError("readout probabilities must be in [0, 1]")
 
     def readout_for(self, width: int) -> np.ndarray:
-        """(width, 2) array of (p10, p01), padding missing qubits with 0."""
-        out = np.zeros((width, 2))
-        for q, pair in enumerate(self.readout[:width]):
-            out[q] = pair
-        return out
+        """(width, 2) array of (p10, p01) for qubits 0..width-1.
+
+        An empty ``readout`` means no readout noise (all zeros); a non-empty
+        list shorter than ``width`` is rejected rather than padded.
+        """
+        if not self.readout:
+            return np.zeros((width, 2))
+        if len(self.readout) < width:
+            raise ValueError(
+                f"readout lists {len(self.readout)} qubits; the circuit has {width}"
+            )
+        return np.array(self.readout[:width], dtype=float)
 
     @property
     def trivial(self) -> bool:
@@ -180,6 +179,12 @@ class Counts:
 
 def _bitstring(index: int, width: int) -> str:
     return format(index, f"0{width}b")
+
+
+def _bitstring_values(bitstrings) -> np.ndarray:
+    """Outcome indices of MSB-first bitstrings, in iteration order; the
+    inverse of ``_bitstring`` and the one place counts keys are parsed."""
+    return np.array([int(bs, 2) for bs in bitstrings], dtype=np.int64)
 
 
 def _counts_from_indices(indices: np.ndarray, width: int, shots: int, seed) -> Counts:
@@ -406,6 +411,7 @@ def _sample_indices(
         indices = np.repeat(np.arange(probs.shape[0]), hist)
         return rng.permutation(indices)
 
+    readout = noise.readout_for(width)
     patterns = _sample_fault_patterns(circuit, shots, noise, rng)
     cache = _SegmentCache(circuit)
     keys = sorted(patterns)
@@ -424,7 +430,7 @@ def _sample_indices(
         hist = rng.multinomial(int(mults[row]), probs[row])
         chunks.append(np.repeat(np.arange(probs.shape[1]), hist))
     indices = np.concatenate(chunks)
-    indices = _apply_readout_flips(indices, width, noise.readout_for(width), rng)
+    indices = _apply_readout_flips(indices, width, readout, rng)
     return rng.permutation(indices)
 
 
@@ -451,9 +457,8 @@ def expectation_mhat(source, layout: RegisterLayout) -> float:
     scale = float(layout.m_pad)
     col_mask = sum(1 << q for q in layout.column_qubits)
     if isinstance(source, Counts):
-        good = sum(
-            c for bs, c in source.counts.items() if (int(bs, 2) & col_mask) == 0
-        )
+        values = _bitstring_values(source.counts)
+        good = int(np.dot((values & col_mask) == 0, list(source.counts.values())))
         return scale * good / source.shots
     state = np.asarray(source)
     if state.shape[0] != 2**layout.width:
@@ -483,27 +488,23 @@ def _selection_masks(layout: RegisterLayout):
 def _loss_from_counts(counts: Counts, layout: RegisterLayout, confusion) -> LossEstimate:
     anc1_bit, anc2_bit, col_mask = _selection_masks(layout)
     constant = float(layout.k_pad * layout.m_pad)
-    surviving = 0
-    anc1_hits = 0
-    for bs, c in counts.counts.items():
-        v = int(bs, 2)
-        if v & anc1_bit:
-            anc1_hits += c
-            if not v & anc2_bit:
-                surviving += c
+    values = _bitstring_values(counts.counts)
+    tallies = list(counts.counts.values())
+    anc1 = (values & anc1_bit) != 0
+    anc1_hits = int(np.dot(anc1, tallies))
+    surviving = int(np.dot(anc1 & ((values & anc2_bit) == 0), tallies))
     if surviving == 0:
         raise EstimatorStarvedError("no shots survived the ancilla post-selection")
     if confusion is not None:
         from .mitigation import mitigate_counts
 
         freqs = mitigate_counts(counts, confusion)
+        values = _bitstring_values(freqs)
     else:
         freqs = counts.frequencies()
-    joint = sum(
-        f
-        for bs, f in freqs.items()
-        if (v := int(bs, 2)) & anc1_bit and not v & anc2_bit and not v & col_mask
-    )
+    selected = ((values & anc1_bit) != 0) & ((values & (anc2_bit | col_mask)) == 0)
+    # a plain left-to-right float sum in dict order
+    joint = sum(f for f, keep in zip(freqs.values(), selected.tolist()) if keep)
     return LossEstimate(
         loss=constant * joint,
         success_probability=anc1_hits / counts.shots,

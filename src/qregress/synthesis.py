@@ -63,29 +63,28 @@ def walsh_angles(alphas) -> np.ndarray:
     return out
 
 
-def _gray_codes(n: int) -> list[int]:
-    return [i ^ (i >> 1) for i in range(2**n)]
-
-
 def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[Gate]:
     """Gate list of one uniformly controlled rotation cycle.
 
-    ``angles_by_mask[y]`` is the rotation angle for parity mask y over the
-    control list.  ``pushed=False`` emits the plain form (RZ on the target,
-    CNOTs control -> target); ``pushed=True`` emits the basis-changed form
-    with RX rotations and CNOT direction reversed.
+    The only Gray-cycle walk in the package: step k rotates by
+    ``angles_by_mask[k ^ (k >> 1)]``, then a CNOT flips the control bit
+    ``gray_sequence(n)[k]`` of the running parity.  ``angles_by_mask[y]``
+    is indexed by control-index mask y (bit b stands for ``controls[b]``).
+
+    ``pushed=False`` emits the plain form (RZ on the target, CNOTs control
+    -> target), used by ``synthesize_uniform_z``, ``build_state_prep``,
+    ``decompose_mcrz``, ``passes.resynthesize`` and the reference cascade.
+    ``pushed=True`` emits the basis-changed form with RX rotations and CNOT
+    direction reversed, used by the optimized ``build_regression_circuit``.
     """
     controls = list(controls)
-    n = len(controls)
     rot = cir.rx if pushed else cir.rz
-    if n == 0:
+    if not controls:
         return [rot(target, float(angles_by_mask[0]))]
-    seq = gray_sequence(n)
-    codes = _gray_codes(n)
     gates: list[Gate] = []
-    for k in range(2**n):
-        gates.append(rot(target, float(angles_by_mask[codes[k]])))
-        c = controls[seq[k]]
+    for k, bit in enumerate(gray_sequence(len(controls))):
+        gates.append(rot(target, float(angles_by_mask[k ^ (k >> 1)])))
+        c = controls[bit]
         gates.append(cir.cnot(target, c) if pushed else cir.cnot(c, target))
     return gates
 
@@ -114,18 +113,10 @@ def decompose_mcrz(gate: Gate) -> Circuit:
     n = len(controls)
     if n > _DECOMPOSE_LIMIT:
         raise CapacityError(f"decompose_mcrz supports up to {_DECOMPOSE_LIMIT} controls")
-    width = max(gate.qubits) + 1
-    if n == 0:
-        return Circuit(width, (cir.rz(gate.target, gate.angle),))
     base = gate.angle / 2**n
-    seq = gray_sequence(n)
-    codes = _gray_codes(n)
-    gates = []
-    for k in range(2**n):
-        angle = -base if codes[k].bit_count() & 1 else base
-        gates.append(cir.rz(gate.target, angle))
-        gates.append(cir.cnot(controls[seq[k]], gate.target))
-    return Circuit(width, tuple(gates))
+    angles = [-base if y.bit_count() & 1 else base for y in range(2**n)]
+    gates = _uniform_block(controls, gate.target, angles, pushed=False)
+    return Circuit(max(gate.qubits) + 1, tuple(gates))
 
 
 def decompose_all_mcrz(circ: Circuit) -> Circuit:
@@ -348,27 +339,19 @@ def synthesize_reference_real_state(x) -> Circuit:
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
         raise ValueError("input must have unit norm")
     p = n_amp.bit_length() - 1
-    stages = _cascade_levels(v)
     gates: list[Gate] = []
     half_pi = math.pi / 2.0
-    for c, thetas in enumerate(stages):
+    for c, thetas in enumerate(_cascade_levels(v)):
         target = p - 1 - c
-        controls = list(range(p - c, p))
-        if not controls:
-            gates += [
-                cir.rz(target, -half_pi),
-                cir.rx(target, float(thetas[0])),
-                cir.rz(target, half_pi),
-            ]
-            continue
-        seq = gray_sequence(c)
-        codes = _gray_codes(c)
-        w = walsh_angles(thetas)
-        for k in range(2**c):
-            gates += [
-                cir.rz(target, -half_pi),
-                cir.rx(target, float(w[codes[k]])),
-                cir.rz(target, half_pi),
-            ]
-            gates.append(cir.cnot(controls[seq[k]], target))
+        # a one-angle stage needs no transform, which would also map -0.0 to 0.0
+        angles = walsh_angles(thetas) if c else thetas
+        for g in _uniform_block(range(p - c, p), target, angles, pushed=False):
+            if g.kind == "rz":
+                gates += [
+                    cir.rz(target, -half_pi),
+                    cir.rx(target, g.angle),
+                    cir.rz(target, half_pi),
+                ]
+            else:
+                gates.append(g)
     return Circuit(p, tuple(gates))

@@ -276,6 +276,19 @@ class TestTrain:
         assert code == 2
         assert not (out / "report.json").exists()
 
+    def test_short_readout_noise_file_is_input_error(self, tmp_path):
+        noise = tmp_path / "short.json"
+        noise.write_text(q.NoiseModel(p1=0.001, p2=0.001, readout=((0.02, 0.02),) * 2).to_json())
+        out = tmp_path / "run"
+        code = run_cli(
+            [
+                "train", "--synthetic", "16x1", "--model", "sampled",
+                "--shots", "1000", "--noise", str(noise), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not (out / "report.json").exists()
+
 
 @pytest.mark.slow
 class TestSeededStudies:

@@ -280,3 +280,11 @@ class TestNoiseModelIO:
 
         payload = json.loads(counts.to_json())
         assert payload["shots"] == 5 and payload["counts"]["01"] == 3
+
+    def test_short_readout_list_rejected(self):
+        # two readout pairs for a width-3 circuit: no silent perfect readout
+        noise = q.NoiseModel(readout=((0.02, 0.02), (0.02, 0.02)))
+        circ = q.new_circuit(3).append(q.x(2))
+        with pytest.raises(ValueError, match="readout"):
+            q.sample(circ, 100, seed=1, noise=noise)
+        assert q.sample(circ, 100, seed=1, noise=q.NoiseModel(p1=0.2)).shots == 100
