@@ -22,13 +22,14 @@ GATE_KINDS = ("x", "h", "cnot", "rz", "rx", "mcrz")
 _UNITARY_WIDTH_LIMIT = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate instance.
 
     ``qubits`` holds (q,) for 1-qubit kinds, (control, target) for cnot and
     (*controls, target) for mcrz.  Angles are radians and are stored as
-    given, never reduced mod 2*pi.
+    given, never reduced mod 2*pi.  Gates are immutable, so one instance
+    may appear many times in a circuit; slots keep each one small.
     """
 
     kind: str
@@ -228,9 +229,17 @@ def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, width: int) -> np.ndar
 
 
 def _apply_cnot(state: np.ndarray, control: int, target: int, width: int) -> np.ndarray:
-    idx = np.arange(2**width)
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return state[src]
+    """Copy of ``state`` with the target halves of the control-1 block
+    swapped; pure data movement, so exact for any batch axes."""
+    hi, lo = max(control, target), min(control, target)
+    shape = (2 ** (width - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2**lo) + state.shape[1:]
+    view = state.reshape(shape)
+    out = view.copy()
+    if control > target:
+        out[:, 1, :, 0], out[:, 1, :, 1] = view[:, 1, :, 1], view[:, 1, :, 0]
+    else:
+        out[:, 0, :, 1], out[:, 1, :, 1] = view[:, 1, :, 1], view[:, 0, :, 1]
+    return out.reshape(state.shape)
 
 
 def _mcrz_diagonal(gate: Gate, width: int) -> np.ndarray:

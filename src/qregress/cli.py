@@ -216,7 +216,9 @@ def _noise_from_args(args, width: int) -> NoiseModel | None:
     if args.noise == "default":
         return default_noise(width)
     with open(args.noise) as fh:
-        return NoiseModel.from_json(fh.read())
+        noise = NoiseModel.from_json(fh.read())
+    noise.readout_for(width)  # a short readout list fails before any output
+    return noise
 
 
 def cmd_train(args) -> int:

@@ -21,6 +21,7 @@ from .errors import CapacityError
 _GRAY_LIMIT = 20
 _DECOMPOSE_LIMIT = 12
 _STATE_PREP_LIMIT = 1024
+_WALSH_BLOCK = 1 << 14  # signed terms summed per block of walsh_angles rows
 
 
 def gray_sequence(n: int) -> list[int]:
@@ -41,26 +42,45 @@ def gray_sequence(n: int) -> list[int]:
     return out
 
 
+def _parity_table(n: int) -> np.ndarray:
+    """Boolean popcount parity of ``arange(n)``, built one bit at a time."""
+    idx = np.arange(n)
+    par = np.zeros(n, dtype=bool)
+    bit = 1
+    while bit < n:
+        par ^= (idx & bit) != 0
+        bit <<= 1
+    return par
+
+
 def walsh_angles(alphas) -> np.ndarray:
     """Scaled Walsh-Hadamard transform of per-selector angles.
 
     out[y] = 2**-n * sum_j (-1)**popcount(y & j) * alphas[j], indexed by
     parity mask y.  Applying the map twice returns the input divided by
-    2**n.  The accumulation is plain left-to-right so rebuilding a folded
-    circuit reproduces these floats bit for bit.
+    2**n.  Each out[y] is a sequential left-to-right running sum over j
+    (``np.cumsum`` along a row of signed terms, never a pairwise or
+    butterfly sum), so rebuilding a folded circuit reproduces these floats
+    bit for bit.  Rows are taken in blocks of ``_WALSH_BLOCK`` terms (one
+    row at least): the sign pattern of block y0 is the first block's
+    pattern XOR the parities of ``y0 & j``, so memory stays O(N).
     """
     a = np.asarray(alphas, dtype=float)
     n_sel = a.shape[0]
     if n_sel == 0 or n_sel & (n_sel - 1):
         raise ValueError("alphas length must be a power of two")
+    idx = np.arange(n_sel)
+    par = _parity_table(n_sel)
+    rows = min(n_sel, max(1, _WALSH_BLOCK // n_sel))
+    first_signs = par[idx[:rows, None] & idx]
+    neg = -a
     out = np.empty(n_sel, dtype=float)
-    for y in range(n_sel):
-        acc = 0.0
-        for j in range(n_sel):
-            term = a[j]
-            acc += -term if (y & j).bit_count() & 1 else term
-        out[y] = acc / n_sel
-    return out
+    for y0 in range(0, n_sel, rows):
+        signs = first_signs ^ par[y0 & idx] if y0 else first_signs
+        out[y0 : y0 + rows] = np.cumsum(np.where(signs, neg, a), axis=1)[:, -1]
+    # cumsum starts from the first term, not from +0.0: a row of -0.0 terms
+    # sums to -0.0, where a sum seeded with +0.0 gives +0.0
+    return (out + 0.0) / n_sel
 
 
 def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[Gate]:
@@ -81,11 +101,12 @@ def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[
     rot = cir.rx if pushed else cir.rz
     if not controls:
         return [rot(target, float(angles_by_mask[0]))]
+    # one shared CNOT per control: a cycle repeats each one many times
+    flips = [cir.cnot(target, c) if pushed else cir.cnot(c, target) for c in controls]
     gates: list[Gate] = []
     for k, bit in enumerate(gray_sequence(len(controls))):
         gates.append(rot(target, float(angles_by_mask[k ^ (k >> 1)])))
-        c = controls[bit]
-        gates.append(cir.cnot(target, c) if pushed else cir.cnot(c, target))
+        gates.append(flips[bit])
     return gates
 
 
@@ -104,19 +125,23 @@ def synthesize_uniform_z(control_qubits, target: int, alphas) -> Circuit:
     return Circuit(width, tuple(gates))
 
 
-def decompose_mcrz(gate: Gate) -> Circuit:
-    """Expand one multi-controlled RZ into its Gray-cycle of elementary
-    gates: 2**n RZ on the target alternating with 2**n CNOTs."""
-    if gate.kind != "mcrz":
-        raise ValueError("decompose_mcrz takes an mcrz gate")
+def _mcrz_gates(gate: Gate) -> list[Gate]:
+    """Gray-cycle expansion of one mcrz gate, unvalidated."""
     controls = gate.controls
     n = len(controls)
     if n > _DECOMPOSE_LIMIT:
         raise CapacityError(f"decompose_mcrz supports up to {_DECOMPOSE_LIMIT} controls")
     base = gate.angle / 2**n
     angles = [-base if y.bit_count() & 1 else base for y in range(2**n)]
-    gates = _uniform_block(controls, gate.target, angles, pushed=False)
-    return Circuit(max(gate.qubits) + 1, tuple(gates))
+    return _uniform_block(controls, gate.target, angles, pushed=False)
+
+
+def decompose_mcrz(gate: Gate) -> Circuit:
+    """Expand one multi-controlled RZ into its Gray-cycle of elementary
+    gates: 2**n RZ on the target alternating with 2**n CNOTs."""
+    if gate.kind != "mcrz":
+        raise ValueError("decompose_mcrz takes an mcrz gate")
+    return Circuit(max(gate.qubits) + 1, tuple(_mcrz_gates(gate)))
 
 
 def decompose_all_mcrz(circ: Circuit) -> Circuit:
@@ -124,7 +149,7 @@ def decompose_all_mcrz(circ: Circuit) -> Circuit:
     gates: list[Gate] = []
     for g in circ:
         if g.kind == "mcrz":
-            gates.extend(decompose_mcrz(g).gates)
+            gates.extend(_mcrz_gates(g))
         else:
             gates.append(g)
     return Circuit(circ.width, tuple(gates))

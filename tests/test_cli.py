@@ -288,6 +288,7 @@ class TestTrain:
         )
         assert code == 2
         assert not (out / "report.json").exists()
+        assert not (out / "layout.json").exists()
 
 
 @pytest.mark.slow
