@@ -11,7 +11,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -127,22 +129,28 @@ def new_circuit(width: int) -> Circuit:
     return Circuit(int(width))
 
 
+# qubit count per kind; None: mcrz, which takes one target and any controls
+_ARITY = {"x": 1, "h": 1, "rz": 1, "rx": 1, "cnot": 2, "mcrz": None}
+
+
 def _validate_gate(gate: Gate, width: int) -> None:
-    if gate.kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    expected = {"x": 1, "h": 1, "rz": 1, "rx": 1, "cnot": 2}.get(gate.kind)
-    if expected is not None and len(gate.qubits) != expected:
-        raise ValueError(f"{gate.kind} takes {expected} qubit(s)")
-    if gate.kind == "mcrz" and len(gate.qubits) < 1:
-        raise ValueError("mcrz needs a target qubit")
-    for q in gate.qubits:
+    kind, qubits = gate.kind, gate.qubits
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    arity = _ARITY[kind]
+    if arity is None:
+        if len(qubits) < 1:
+            raise ValueError("mcrz needs a target qubit")
+    elif len(qubits) != arity:
+        raise ValueError(f"{kind} takes {arity} qubit(s)")
+    for q in qubits:
         if not 0 <= q < width:
             raise ValueError(f"qubit {q} out of range for width {width}")
-    if gate.kind == "cnot" and gate.qubits[0] == gate.qubits[1]:
+    if arity == 2 and qubits[0] == qubits[1]:
         raise ValueError("cnot control and target must differ")
-    if gate.kind == "mcrz":
-        ctrls = gate.qubits[:-1]
-        if len(set(ctrls)) != len(ctrls) or gate.qubits[-1] in ctrls:
+    if arity is None:
+        ctrls = qubits[:-1]
+        if len(set(ctrls)) != len(ctrls) or qubits[-1] in ctrls:
             raise ValueError("mcrz controls must be distinct and exclude the target")
     if not math.isfinite(gate.angle):
         raise ValueError("gate angle must be finite")
@@ -192,10 +200,7 @@ class CountReport:
 
 def gate_counts(circuit: Circuit) -> CountReport:
     """Exact per-kind gate tally of ``circuit``."""
-    tally = dict.fromkeys(GATE_KINDS, 0)
-    for g in circuit:
-        tally[g.kind] += 1
-    return CountReport(**tally)
+    return CountReport(**Counter(map(attrgetter("kind"), circuit)))
 
 
 # --- dense linear algebra -------------------------------------------------

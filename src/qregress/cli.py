@@ -387,7 +387,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_train.add_argument("--exact", action="store_true", help="exact expectations")
     p_train.add_argument("--noise", default=None, help="'default' or a JSON file")
     p_train.add_argument("--mitigate", action="store_true")
-    p_train.add_argument("--estimator", choices=["xbasis", "shadow"], default="xbasis")
+    p_train.add_argument(
+        "--estimator",
+        choices=["xbasis", "shadow"],
+        default="xbasis",
+        help="xbasis: plain post-selected frequencies; shadow: median of means "
+        "over equal shot batches (a fixed-basis estimator, not classical shadows)",
+    )
     p_train.add_argument("--optimizer", choices=["adam", "nelder-mead"], default="adam")
     p_train.add_argument("--grad", choices=["exact", "two-term"], default="exact")
     p_train.add_argument("--seed", type=int, default=0)

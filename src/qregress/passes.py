@@ -7,6 +7,7 @@ the folded RX/CNOT form, gate for gate the output of the direct builder.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from . import circuit as cir
@@ -48,6 +49,7 @@ def push_paulis(circ: Circuit) -> tuple[Circuit, PassReport]:
     """
     pending = [False] * circ.width
     out: list[Gate] = []
+    negations: dict[int, Gate] = {}  # by id: rz(q, 0.0) == rz(q, -0.0)
     absorbed = negated = flushed = 0
     for g in circ:
         k = g.kind
@@ -56,7 +58,10 @@ def push_paulis(circ: Circuit) -> tuple[Circuit, PassReport]:
             absorbed += 1
         elif k == "rz":
             if pending[g.qubit]:
-                out.append(cir.rz(g.qubit, -g.angle))
+                neg = negations.get(id(g))
+                if neg is None:
+                    neg = negations[id(g)] = cir.rz(g.qubit, -g.angle)
+                out.append(neg)
                 negated += 1
             else:
                 out.append(g)
@@ -260,43 +265,57 @@ def resynthesize(poly: PhasePolynomial, width: int) -> Circuit:
 # --- phase folding ----------------------------------------------------------
 
 def _commutes_with_cnot(control: int, target: int, g: Gate) -> bool:
-    if g.kind == "cnot":
-        return g.target != control and g.control != target
-    if g.kind == "rz":
-        return g.qubit != target
-    if g.kind == "x":
-        return g.qubit != control
+    kind, qubits = g.kind, g.qubits
+    if kind == "cnot":
+        return qubits[1] != control and qubits[0] != target
+    if kind == "rz":
+        return qubits[0] != target
+    if kind == "x":
+        return qubits[0] != control
     return False
 
 
 def _cancel_cnot_pairs(gates: list[Gate]) -> tuple[list[Gate], int]:
-    """Remove CNOT pairs separated only by gates the CNOT commutes with."""
+    """Remove CNOT pairs separated only by gates the CNOT commutes with.
+
+    Scans left to right, pairing each CNOT with the first identical CNOT
+    past the gates it commutes with, and repeats until a scan cancels
+    nothing.  The live gates form a circular doubly linked list through
+    ``nxt``/``prv`` (node k is ``gates[k]``, node n the sentinel), so a
+    cancelled pair is unlinked in O(1) and the scan continues at the next
+    live gate.
+    """
+    n = len(gates)
+    nxt = array("l", range(1, n + 2))
+    prv = array("l", range(-1, n))
+    nxt[n], prv[0] = 0, n
     removed = 0
-    alive = list(gates)
     changed = True
     while changed:
         changed = False
-        i = 0
-        while i < len(alive):
-            g = alive[i]
+        i = nxt[n]
+        while i != n:
+            g = gates[i]
             if g.kind == "cnot":
-                cancelled_here = False
-                j = i + 1
-                while j < len(alive):
-                    other = alive[j]
+                control, target = g.qubits
+                j = nxt[i]
+                while j != n:
+                    other = gates[j]
                     if other.kind == "cnot" and other.qubits == g.qubits:
-                        del alive[j]
-                        del alive[i]
+                        for k in (j, i):
+                            nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
                         removed += 2
                         changed = True
-                        cancelled_here = True
                         break
-                    if not _commutes_with_cnot(g.control, g.target, other):
+                    if not _commutes_with_cnot(control, target, other):
                         break
-                    j += 1
-                if cancelled_here:
-                    continue  # a new gate slid into position i
-            i += 1
+                    j = nxt[j]
+            i = nxt[i]  # still i's successor when i was just unlinked
+    alive = []
+    i = nxt[n]
+    while i != n:
+        alive.append(gates[i])
+        i = nxt[i]
     return alive, removed
 
 

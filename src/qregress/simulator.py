@@ -23,6 +23,7 @@ from .errors import CapacityError, DegenerateProjectionError, EstimatorStarvedEr
 
 _SIMULATE_WIDTH_LIMIT = 24
 _DENSE_SUFFIX_LIMIT = 8  # precompute suffix operators up to 2**8 x 2**8
+_DENSE_SUFFIX_BYTES = 256 * 2**20  # ... while all G + 1 of them fit in these bytes
 
 DEFAULT_P1 = 0.0011
 DEFAULT_P2 = 0.0077
@@ -269,7 +270,9 @@ class _SegmentCache:
     ``dagger[i]`` is the adjoint of the product of gates i..end, built by
     applying inverse gates to an identity batch, so inserting a fault after
     gate i costs a couple of matrix-vector products instead of a fresh
-    simulation.
+    simulation.  The G + 1 dense operators are kept only while they fit
+    ``_DENSE_SUFFIX_BYTES``; otherwise ``dense`` is False and every
+    pattern is replayed gate by gate from its first fault.
     """
 
     def __init__(self, circuit: Circuit):
@@ -282,7 +285,10 @@ class _SegmentCache:
         for g in circuit.gates:
             state = apply_gate(state, g, circuit.width)
             self.prefix.append(state)
-        self.dense = circuit.width <= _DENSE_SUFFIX_LIMIT
+        self.dense = (
+            circuit.width <= _DENSE_SUFFIX_LIMIT
+            and (len(circuit) + 1) * dim * dim * 16 <= _DENSE_SUFFIX_BYTES
+        )
         if self.dense:
             daggers = [np.eye(dim, dtype=complex)]
             for g in reversed(circuit.gates):
@@ -531,8 +537,10 @@ def loss_from_run(
     loss with sin-encoded values.  ``shots=None`` computes probabilities
     from the statevector; otherwise counts are post-selected, optionally
     through a readout ``confusion`` correction first.  ``estimator`` is
-    'xbasis' (plain frequencies) or 'shadow' (median over ``batches``
-    groups of the shot budget).
+    'xbasis' (plain frequencies) or 'shadow', a median-of-means estimator:
+    the median of the plain estimates of ``batches`` equal groups of the
+    shot budget.  Every shot is measured in the same fixed basis, so
+    'shadow' is a historical name, not classical-shadow tomography.
     """
     if estimator not in ("xbasis", "shadow"):
         raise ValueError("estimator must be 'xbasis' or 'shadow'")
@@ -603,7 +611,9 @@ def shadow_estimate(
     The shot budget splits evenly across ``batches`` groups; starved
     batches are dropped with a warning.  With one batch this reduces to
     the plain estimator.  This is the loss of ``loss_from_run`` with
-    ``estimator='shadow'``.
+    ``estimator='shadow'``; despite the name it uses no random measurement
+    bases, so it is not a classical-shadow estimator (Huang, Kueng,
+    Preskill 2020).
     """
     return loss_from_run(
         circuit, layout, shots, seed, noise,

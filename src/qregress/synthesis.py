@@ -101,11 +101,18 @@ def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[
     rot = cir.rx if pushed else cir.rz
     if not controls:
         return [rot(target, float(angles_by_mask[0]))]
-    # one shared CNOT per control: a cycle repeats each one many times
+    # one shared CNOT per control and one rotation per distinct angle: a
+    # cycle repeats each many times (an mcrz expansion has only two angles)
     flips = [cir.cnot(target, c) if pushed else cir.cnot(c, target) for c in controls]
+    rots: dict = {}
     gates: list[Gate] = []
     for k, bit in enumerate(gray_sequence(len(controls))):
-        gates.append(rot(target, float(angles_by_mask[k ^ (k >> 1)])))
+        angle = float(angles_by_mask[k ^ (k >> 1)])
+        key = angle if angle else str(angle)  # 0.0 == -0.0, "0.0" != "-0.0"
+        g = rots.get(key)
+        if g is None:
+            g = rots[key] = rot(target, angle)
+        gates.append(g)
         gates.append(flips[bit])
     return gates
 
@@ -173,6 +180,10 @@ def build_ud_naive(table: DataTable, layout: RegisterLayout) -> Circuit:
     Emits the superposition layer, then one X-conjugated multi-controlled
     RZ per padded table entry k with angle 2 * x_k.
     """
+    return Circuit(layout.width, tuple(_ud_naive_gates(table, layout)))
+
+
+def _ud_naive_gates(table: DataTable, layout: RegisterLayout) -> list[Gate]:
     _require_normalized(table)
     flat = flatten_padded(table, layout)
     gates: list[Gate] = [cir.h(layout.anc1)]
@@ -183,7 +194,7 @@ def build_ud_naive(table: DataTable, layout: RegisterLayout) -> Circuit:
         gates += pattern
         gates.append(cir.mcrz(data, layout.anc1, 2.0 * flat[k]))
         gates += pattern
-    return Circuit(layout.width, tuple(gates))
+    return gates
 
 
 def build_uc_naive(phis, layout: RegisterLayout) -> Circuit:
@@ -193,6 +204,10 @@ def build_uc_naive(phis, layout: RegisterLayout) -> Circuit:
     X-conjugated multi-controlled RZ with angle -2 * phi_m; padded columns
     keep their zero-angle rotation.
     """
+    return Circuit(layout.width, tuple(_uc_naive_gates(phis, layout)))
+
+
+def _uc_naive_gates(phis, layout: RegisterLayout) -> list[Gate]:
     phis = np.asarray(phis, dtype=float)
     gates: list[Gate] = [cir.h(layout.anc2)]
     cols = layout.column_qubits
@@ -202,7 +217,7 @@ def build_uc_naive(phis, layout: RegisterLayout) -> Circuit:
         gates += pattern
         gates.append(cir.mcrz(cols, layout.anc2, angle))
         gates += pattern
-    return Circuit(layout.width, tuple(gates))
+    return gates
 
 
 def _padded_phi_angles(phis, layout: RegisterLayout) -> np.ndarray:
@@ -228,10 +243,9 @@ def build_regression_circuit(table: DataTable, phis, mode: str = "optimized"):
         )
     _require_normalized(table)
     if mode == "naive":
-        ud = build_ud_naive(table, layout)
-        uc = build_uc_naive(phis, layout)
-        closing = [cir.h(q) for q in range(layout.width)]
-        return Circuit(layout.width, ud.gates + uc.gates + tuple(closing)), layout
+        gates = _ud_naive_gates(table, layout) + _uc_naive_gates(phis, layout)
+        gates += [cir.h(q) for q in range(layout.width)]
+        return Circuit(layout.width, tuple(gates)), layout
     if mode == "optimized":
         flat = flatten_padded(table, layout)
         ud = _uniform_block(

@@ -221,6 +221,8 @@ class TrainConfig:
     batch_size: int = 8
     shots: int | None = 20000  # None = exact statevector mode
     gradient_mode: str = "exact-shift"  # or "two-term"
+    # "shadow" is median-of-means over shadow_batches equal shot groups,
+    # all in one fixed basis (not classical shadows); "xbasis" is plain
     estimator: str = "xbasis"  # or "shadow"
     shadow_batches: int = 10
     mitigate: bool = False

@@ -138,6 +138,53 @@ class TestSample:
         assert sum(counts.counts.values()) == 5000
 
 
+class TestDenseSuffixBudget:
+    """The dense suffix cache holds G + 1 operators of 4**w * 16 bytes; past
+    ``_DENSE_SUFFIX_BYTES`` sampling replays faults gate by gate instead."""
+
+    def test_budget_boundary(self, rng, monkeypatch):
+        from qregress import simulator
+
+        c = random_circuit(3, 10, rng)
+        need = (len(c) + 1) * 4**3 * 16
+        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", need)
+        assert simulator._SegmentCache(c).dense
+        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", need - 1)
+        cache = simulator._SegmentCache(c)
+        assert not cache.dense and not hasattr(cache, "dagger")
+
+    def test_long_width8_circuit_samples_serially(self, rng, monkeypatch):
+        from qregress import simulator
+
+        c = random_circuit(8, 300, rng)
+        assert (len(c) + 1) * 4**8 * 16 > simulator._DENSE_SUFFIX_BYTES
+        built = []
+
+        class Spy(simulator._SegmentCache):
+            def __init__(self, circuit):
+                super().__init__(circuit)
+                built.append(self)
+
+        monkeypatch.setattr(simulator, "_SegmentCache", Spy)
+        counts = q.sample(c, 40, seed=4, noise=q.NoiseModel(p1=0.05, p2=0.05))
+        assert sum(counts.counts.values()) == 40
+        assert len(built) == 1 and not built[0].dense
+
+    def test_serial_replay_matches_dense(self, rng, monkeypatch):
+        from qregress import simulator
+
+        c = random_circuit(4, 30, rng)
+        noise = q.NoiseModel(p1=0.1, p2=0.2)
+        keys = sorted(simulator._sample_fault_patterns(c, 400, noise, np.random.default_rng(5)))
+        assert max(len(k) for k in keys) >= 3
+        dense = simulator._pattern_states(simulator._SegmentCache(c), keys)
+        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", 0)
+        cache = simulator._SegmentCache(c)
+        assert not cache.dense
+        serial = simulator._pattern_states(cache, keys)
+        assert np.abs(serial - dense).max() <= 1e-12
+
+
 class TestExpectationMhat:
     def test_all_plus_maximal(self):
         layout = q.layout_for(2, 3)  # n_m = 2
