@@ -12,8 +12,8 @@ import cmath
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -98,30 +98,91 @@ def _checked_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a fixed number of qubits."""
+    """Ordered gate list over a fixed number of qubits.
+
+    Each gate is validated once, where it enters a circuit: here, and in
+    ``append`` and ``extended`` for the new gates only.  Rewrite passes that
+    emit only gates derived from an already validated circuit build their
+    output without validating it again.
+    """
 
     width: int
     gates: tuple[Gate, ...] = ()
+    # flat columns of ``gates`` left by the code that built them; see _gate_columns
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("circuit width must be at least 1")
+        validate, width = _validate_gate, self.width
         for g in self.gates:
-            _validate_gate(g, self.width)
+            validate(g, width)
 
     def append(self, gate: Gate) -> "Circuit":
         """Return a new circuit with ``gate`` appended."""
         _validate_gate(gate, self.width)
-        return Circuit(self.width, self.gates + (gate,))
+        return _trusted_circuit(self.width, self.gates + (gate,))
 
     def extended(self, gates) -> "Circuit":
-        return Circuit(self.width, self.gates + tuple(gates))
+        """Return a new circuit with ``gates`` appended."""
+        new = tuple(gates)
+        validate, width = _validate_gate, self.width
+        for g in new:
+            validate(g, width)
+        return _trusted_circuit(width, self.gates + new)
 
     def __len__(self) -> int:
         return len(self.gates)
 
     def __iter__(self):
         return iter(self.gates)
+
+
+_KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+
+
+def _qubit_column(qubits: list[int]):
+    """``qubits`` as bytes when every one fits in a byte, else as is."""
+    try:
+        return bytes(qubits)
+    except ValueError:
+        return qubits
+
+
+def _read_columns(gates):
+    kinds = bytes(map(_KIND_CODE.__getitem__, map(attrgetter("kind"), gates)))
+    qubits = list(map(attrgetter("qubits"), gates))
+    first = _qubit_column(list(map(itemgetter(0), qubits)))
+    return kinds, first, _qubit_column(list(map(itemgetter(-1), qubits)))
+
+
+def _gate_columns(gates):
+    """(kinds, first, last) columns of a circuit or a sequence of valid gates.
+
+    kinds holds each gate's kind code (its index into GATE_KINDS) as one
+    byte; first and last hold its first and last qubit (a CNOT's control
+    and target, the one wire of a single-qubit gate), one byte each while
+    every qubit is below 256.  Code that builds gates together with their
+    columns (the mcrz expansion, the rewrite passes) leaves them on its
+    output as ``_columns``, so the next pass reads ints instead of ``Gate``
+    attributes; other inputs have their columns read from the gates.
+    """
+    columns = getattr(gates, "_columns", None)
+    return _read_columns(gates) if columns is None else columns
+
+
+def _with_columns(circ: Circuit, columns) -> Circuit:
+    """``circ`` carrying ``columns``, the flat columns of its gates."""
+    object.__setattr__(circ, "_columns", columns)
+    return circ
+
+
+def _trusted_circuit(width: int, gates: tuple[Gate, ...], columns=None) -> Circuit:
+    """A circuit over gates already valid for ``width``, not validated again."""
+    circ = object.__new__(Circuit)
+    object.__setattr__(circ, "width", width)
+    object.__setattr__(circ, "gates", gates)
+    return _with_columns(circ, columns)
 
 
 def new_circuit(width: int) -> Circuit:
@@ -135,20 +196,31 @@ _ARITY = {"x": 1, "h": 1, "rz": 1, "rx": 1, "cnot": 2, "mcrz": None}
 
 def _validate_gate(gate: Gate, width: int) -> None:
     kind, qubits = gate.kind, gate.qubits
-    if kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    arity = _ARITY[kind]
-    if arity is None:
+    try:
+        arity = _ARITY[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown gate kind {kind!r}") from None
+    if arity == 1:
+        if len(qubits) != 1:
+            raise ValueError(f"{kind} takes 1 qubit(s)")
+        if not 0 <= qubits[0] < width:
+            raise ValueError(f"qubit {qubits[0]} out of range for width {width}")
+    elif arity == 2:
+        if len(qubits) != 2:
+            raise ValueError(f"{kind} takes 2 qubit(s)")
+        control, target = qubits
+        if not 0 <= control < width:
+            raise ValueError(f"qubit {control} out of range for width {width}")
+        if not 0 <= target < width:
+            raise ValueError(f"qubit {target} out of range for width {width}")
+        if control == target:
+            raise ValueError("cnot control and target must differ")
+    else:
         if len(qubits) < 1:
             raise ValueError("mcrz needs a target qubit")
-    elif len(qubits) != arity:
-        raise ValueError(f"{kind} takes {arity} qubit(s)")
-    for q in qubits:
-        if not 0 <= q < width:
-            raise ValueError(f"qubit {q} out of range for width {width}")
-    if arity == 2 and qubits[0] == qubits[1]:
-        raise ValueError("cnot control and target must differ")
-    if arity is None:
+        for q in qubits:
+            if not 0 <= q < width:
+                raise ValueError(f"qubit {q} out of range for width {width}")
         ctrls = qubits[:-1]
         if len(set(ctrls)) != len(ctrls) or qubits[-1] in ctrls:
             raise ValueError("mcrz controls must be distinct and exclude the target")
@@ -200,7 +272,14 @@ class CountReport:
 
 def gate_counts(circuit: Circuit) -> CountReport:
     """Exact per-kind gate tally of ``circuit``."""
+    if circuit._columns is not None:
+        return _tally(circuit._columns[0])
     return CountReport(**Counter(map(attrgetter("kind"), circuit)))
+
+
+def _tally(kinds: bytes) -> CountReport:
+    """Per-kind gate tally of a kind column (CountReport follows GATE_KINDS)."""
+    return CountReport(*map(kinds.count, range(len(GATE_KINDS))))
 
 
 # --- dense linear algebra -------------------------------------------------
@@ -328,20 +407,35 @@ def gate_to_obj(gate: Gate) -> dict:
     }
 
 
+def _index(value, what: str) -> int:
+    """A JSON qubit index or width, which must be an integer: no float,
+    string or boolean is coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def gate_from_obj(obj: dict) -> Gate:
     kind = obj["kind"]
     if kind == "x":
-        return x(obj["qubit"])
+        return x(_index(obj["qubit"], "qubit"))
     if kind == "h":
-        return h(obj["qubit"])
+        return h(_index(obj["qubit"], "qubit"))
     if kind == "rz":
-        return rz(obj["qubit"], obj["angle"])
+        return rz(_index(obj["qubit"], "qubit"), obj["angle"])
     if kind == "rx":
-        return rx(obj["qubit"], obj["angle"])
+        return rx(_index(obj["qubit"], "qubit"), obj["angle"])
     if kind == "cnot":
-        return cnot(obj["control"], obj["target"])
+        return cnot(_index(obj["control"], "control"), _index(obj["target"], "target"))
     if kind == "mcrz":
-        return mcrz(obj["controls"], obj["target"], obj["angle"])
+        controls = obj["controls"]
+        if not isinstance(controls, list):
+            raise ValueError(f"mcrz controls must be a list, got {controls!r}")
+        return mcrz(
+            [_index(c, "control") for c in controls],
+            _index(obj["target"], "target"),
+            obj["angle"],
+        )
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -352,5 +446,6 @@ def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
 
 def circuit_from_json(text: str) -> Circuit:
     payload = json.loads(text)
+    width = _index(payload["width"], "width")
     gates = tuple(gate_from_obj(o) for o in payload["gates"])
-    return Circuit(int(payload["width"]), gates)
+    return Circuit(width, gates)

@@ -154,8 +154,8 @@ def cmd_prepare(args) -> int:
     text = json.dumps(report, indent=2)
     if args.out:
         _atomic_write(args.out, text)
-        if args.circuit_out:
-            _atomic_write(args.circuit_out, circuit_to_json(circuit, indent=2))
+    if args.circuit_out:
+        _atomic_write(args.circuit_out, circuit_to_json(circuit, indent=2))
     print(text)
     return EXIT_OK
 
@@ -183,12 +183,12 @@ def _read_vector(path: str) -> np.ndarray:
 def cmd_optimize(args) -> int:
     with open(args.circuit) as fh:
         circuit = circuit_from_json(fh.read())
+    if args.verify and circuit.width > 10:  # before any work or output
+        raise CapacityError("--verify needs width <= 10")
     optimized, report = optimize_pipeline(circuit)
     _atomic_write(args.out, circuit_to_json(optimized, indent=2))
     payload = report.as_dict()
     if args.verify:
-        if circuit.width > 10:
-            raise CapacityError("--verify needs width <= 10")
         payload["equivalent"] = equivalent_up_to_phase(circuit, optimized, 1e-9)
     if args.report:
         _atomic_write(args.report, json.dumps(payload, indent=2))

@@ -4,19 +4,52 @@ Every pass consumes and produces immutable circuits and preserves the
 unitary up to global phase.  The full pipeline turns a naive encoded
 circuit (X-conjugated multi-controlled RZ gadgets between H layers) into
 the folded RX/CNOT form, gate for gate the output of the direct builder.
+
+The passes read a circuit through its flat per-gate columns (kind codes,
+first and last qubits; see ``circuit._gate_columns``) and run as loops over
+those ints, reading a ``Gate`` only where they rewrite it.  Each pass leaves
+the columns of its output on it for the next one.  Gates are validated
+once, where they enter a ``Circuit``: ``decompose_all_mcrz`` validates each
+gate it emits, while the other passes emit only gates derived from their
+already validated input and build their output without validating it
+again.
 """
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from itertools import compress, count, islice
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from . import circuit as cir
-from .circuit import Circuit, CountReport, Gate, gate_counts
+from .circuit import (
+    GATE_KINDS,
+    Circuit,
+    CountReport,
+    Gate,
+    _gate_columns,
+    _qubit_column,
+    _tally,
+    _trusted_circuit,
+    gate_counts,
+)
 from .synthesis import _uniform_block, decompose_all_mcrz
 
 _ZERO_COEFF = 1e-12
 
 FOLDABLE_KINDS = frozenset({"x", "cnot", "rz"})
+
+# kind codes of the flat columns: a gate's index into GATE_KINDS
+_X, _H, _CNOT, _RZ, _RX, _MCRZ = range(len(GATE_KINDS))
+_NOT_FOLDABLE = np.array([kind not in FOLDABLE_KINDS for kind in GATE_KINDS])
+_X_BYTE = bytes([_X])
+# bytes.translate tables from a kind column to a mask column
+_NOT_X = bytes(code != _X for code in range(256))
+_IS_RZ = bytes(code == _RZ for code in range(256))
 
 
 @dataclass(frozen=True)
@@ -37,6 +70,34 @@ def _report(before: Circuit, after: Circuit, rewrites: list[str]) -> PassReport:
     return PassReport(gate_counts(before), gate_counts(after), tuple(rewrites))
 
 
+class _GateRun(Sequence):
+    """A view of ``gates[start:stop]`` with its columns (see
+    ``_gate_columns``), as handed to ``_fold_segment`` and
+    ``_cancel_cnot_pairs``; it copies no gates."""
+
+    __slots__ = ("gates", "start", "stop", "_columns")
+
+    def __init__(self, gates, columns, start: int = 0, stop: int | None = None):
+        self.gates, self._columns = gates, columns
+        self.start, self.stop = start, len(gates) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i: int) -> Gate:
+        return self.gates[self.start + i]
+
+    def __iter__(self):
+        return islice(self.gates, self.start, self.stop)
+
+
+def _kept(column, mask: bytes):
+    """The entries of ``column`` whose byte in ``mask`` is nonzero, as bytes
+    if ``column`` is bytes and as a list otherwise."""
+    kept = compress(column, mask)
+    return bytes(kept) if isinstance(column, bytes) else list(kept)
+
+
 # --- Pauli pushing ----------------------------------------------------------
 
 def push_paulis(circ: Circuit) -> tuple[Circuit, PassReport]:
@@ -47,48 +108,59 @@ def push_paulis(circ: Circuit) -> tuple[Circuit, PassReport]:
     targets.  An X that reaches an H stops there (emitted just before it);
     X gates alive at the end remain as a trailing suffix.
     """
-    pending = [False] * circ.width
+    gates = circ.gates
+    kinds, first, last = _gate_columns(circ)
+    before = _tally(kinds)
+    if before.mcrz:
+        raise ValueError("push_paulis needs an mcrz-free circuit; decompose first")
+    pending = [0] * circ.width
     out: list[Gate] = []
     negations: dict[int, Gate] = {}  # by id: rz(q, 0.0) == rz(q, -0.0)
-    absorbed = negated = flushed = 0
-    for g in circ:
-        k = g.kind
-        if k == "x":
-            pending[g.qubit] ^= True
-            absorbed += 1
-        elif k == "rz":
-            if pending[g.qubit]:
+    negated = 0
+    stops = 0  # X gates stopped at an H
+    for g, k, a, b in zip(gates, kinds, first, last):
+        if k == _RZ:
+            if pending[a]:
                 neg = negations.get(id(g))
                 if neg is None:
-                    neg = negations[id(g)] = cir.rz(g.qubit, -g.angle)
+                    neg = negations[id(g)] = cir.rz(a, -g.angle)
                 out.append(neg)
                 negated += 1
             else:
                 out.append(g)
-        elif k == "rx":
+        elif k == _CNOT:
             out.append(g)
-        elif k == "cnot":
+            if pending[a]:
+                pending[b] ^= 1
+        elif k == _X:
+            pending[a] ^= 1
+        elif k == _H:
+            if pending[a]:
+                out.append(cir.x(a))
+                stops += 1
+                pending[a] = 0
             out.append(g)
-            if pending[g.control]:
-                pending[g.target] ^= True
-        elif k == "h":
-            if pending[g.qubit]:
-                out.append(cir.x(g.qubit))
-                pending[g.qubit] = False
-                flushed += 1
+        else:  # rx
             out.append(g)
-        else:
-            raise ValueError("push_paulis needs an mcrz-free circuit; decompose first")
-    suffix = [cir.x(q) for q in range(circ.width) if pending[q]]
-    out += suffix
-    result = Circuit(circ.width, tuple(out))
+    suffix = [q for q in range(circ.width) if pending[q]]
+    out += map(cir.x, suffix)
+    columns = None  # with X gates stopped at an H: read from the gates
+    if not stops:  # out's columns: the input's without X gates, then the suffix
+        keep = kinds.translate(_NOT_X)
+        columns = (kinds.replace(_X_BYTE, b"") + _X_BYTE * len(suffix),
+                   _kept(first, keep), _kept(last, keep))
+        if suffix:
+            columns = (columns[0], *(_qubit_column([*c, *suffix]) for c in columns[1:]))
+    result = _trusted_circuit(circ.width, tuple(out), columns)
     rewrites = [
-        f"x-absorbed: {absorbed}",
+        f"x-absorbed: {before.x}",
         f"rz-negated: {negated}",
-        f"x-stopped-at-h: {flushed}",
+        f"x-stopped-at-h: {stops}",
         f"x-suffix: {len(suffix)}",
     ]
-    return result, _report(circ, result, rewrites)
+    # every X is absorbed; the X gates out are the stopped ones and the suffix
+    after = replace(before, x=stops + len(suffix))
+    return result, PassReport(before, after, tuple(rewrites))
 
 
 # --- Hadamard pushing -------------------------------------------------------
@@ -101,7 +173,9 @@ def push_hadamards(circ: Circuit) -> tuple[Circuit, PassReport]:
     a CNOT with only one pushed wire) flush the pending H just before them.
     Unmatched H gates are emitted at the end.
     """
-    pending = [False] * circ.width
+    gates = circ.gates
+    kinds, first, last = _gate_columns(circ)
+    pending = [0] * circ.width
     out: list[Gate] = []
     cancelled = exchanged = flipped = flushed = 0
 
@@ -110,39 +184,38 @@ def push_hadamards(circ: Circuit) -> tuple[Circuit, PassReport]:
         for q in qubits:
             if pending[q]:
                 out.append(cir.h(q))
-                pending[q] = False
+                pending[q] = 0
                 flushed += 1
 
-    for g in circ:
-        k = g.kind
-        if k == "h":
-            cancelled += pending[g.qubit]
-            pending[g.qubit] ^= True
-        elif k == "rz":
-            if pending[g.qubit]:
-                out.append(cir.rx(g.qubit, g.angle))
+    for g, k, a, b in zip(gates, kinds, first, last):
+        if k == _H:
+            cancelled += pending[a]
+            pending[a] ^= 1
+        elif k == _RZ:
+            if pending[a]:
+                out.append(cir.rx(a, g.angle))
                 exchanged += 1
             else:
                 out.append(g)
-        elif k == "rx":
-            if pending[g.qubit]:
-                out.append(cir.rz(g.qubit, g.angle))
+        elif k == _RX:
+            if pending[a]:
+                out.append(cir.rz(a, g.angle))
                 exchanged += 1
             else:
                 out.append(g)
-        elif k == "cnot":
-            if pending[g.control] and pending[g.target]:
-                out.append(cir.cnot(g.target, g.control))
+        elif k == _CNOT:
+            if pending[a] and pending[b]:
+                out.append(cir.cnot(b, a))
                 flipped += 1
             else:
-                flush(g.qubits)
+                flush((a, b))
                 out.append(g)
         else:  # x or mcrz: no push rule
             flush(g.qubits)
             out.append(g)
     tail = [cir.h(q) for q in range(circ.width) if pending[q]]
     out += tail
-    result = Circuit(circ.width, tuple(out))
+    result = _trusted_circuit(circ.width, tuple(out))
     rewrites = [
         f"h-cancelled-pairs: {cancelled}",
         f"rz-rx-exchanged: {exchanged}",
@@ -150,7 +223,7 @@ def push_hadamards(circ: Circuit) -> tuple[Circuit, PassReport]:
         f"h-flushed: {flushed}",
         f"h-trailing: {len(tail)}",
     ]
-    return result, _report(circ, result, rewrites)
+    return result, PassReport(_tally(kinds), gate_counts(result), tuple(rewrites))
 
 
 # --- phase polynomial extraction and resynthesis ----------------------------
@@ -178,25 +251,50 @@ class PhasePolynomial:
         )
 
 
-def _parity_sweep(gates, masks: list[int], bits: list[int]):
+class _Sweep(NamedTuple):
+    slots: list[int]  # per RZ, in order: the index in parities of its parity
+    flips: bytearray  # per RZ: 1 if an X flips its sign
+    parities: list[int]  # distinct parity masks, in order of first appearance
+    hosts: list[int]  # per parity: the RZ where it first appears
+    masks: list[int]  # per wire, at the end: its input-parity mask
+    bits: list[int]  # per wire, at the end: its X flip bit
+
+
+def _parity_sweep(kinds: bytes, first, last, width: int) -> _Sweep:
     """The one wire-annotation sweep, shared by extraction and folding.
 
-    Walks an {X, CNOT, RZ} run, updating in place ``masks[q]``, the
-    input-parity mask that wire q carries, and ``bits[q]``, its X flip bit.
-    Yields (gate, mask, bit) for each gate, read from the gate's last wire
-    after it acts: for an RZ, the parity it rotates and whether its sign is
-    flipped.  Lazy, so a long run costs no per-rotation list.
+    Walks an {X, CNOT, RZ} run given by its columns, keeping per wire q the
+    input-parity mask it carries and its X flip bit, packed as
+    ``mask << 1 | bit`` so that a CNOT updates both with one XOR, and
+    records which parity each RZ rotates.
     """
-    for g in gates:
-        q = g.qubits[-1]
-        if g.kind == "x":
-            bits[q] ^= 1
-        elif g.kind == "cnot":
-            masks[q] ^= masks[g.control]
-            bits[q] ^= bits[g.control]
-        elif g.kind != "rz":
-            raise ValueError(f"unsupported gate kind {g.kind!r} for phase analysis")
-        yield g, masks[q], bits[q]
+    wires = [2 << q for q in range(width)]
+    slot_of: dict[int, int] = {}
+    slots: list[int] = []
+    flips = bytearray()
+    hosts: list[int] = []
+    for k, a, b in zip(kinds, first, last):
+        if k == _CNOT:
+            wires[b] ^= wires[a]
+        elif k == _RZ:
+            v = wires[a]
+            s = slot_of.get(v >> 1)
+            if s is None:
+                s = slot_of[v >> 1] = len(hosts)
+                hosts.append(len(slots))
+            slots.append(s)
+            flips.append(v & 1)
+        elif k == _X:
+            wires[a] ^= 1
+        else:
+            raise ValueError(f"unsupported gate kind {GATE_KINDS[k]!r} for phase analysis")
+    masks = [v >> 1 for v in wires]
+    return _Sweep(slots, flips, list(slot_of), hosts, masks, [v & 1 for v in wires])
+
+
+def _rotations_at(kinds: bytes) -> np.ndarray:
+    """Positions of the RZ gates in a kind column."""
+    return np.flatnonzero(np.frombuffer(kinds, np.uint8) == _RZ)
 
 
 def extract_phase_polynomial(circ: Circuit) -> PhasePolynomial:
@@ -205,18 +303,21 @@ def extract_phase_polynomial(circ: Circuit) -> PhasePolynomial:
     Coefficients below 1e-12 and the empty parity (a global phase) are
     dropped.
     """
-    masks = [1 << q for q in range(circ.width)]
-    bits = [0] * circ.width
+    gates = circ.gates
+    kinds, first, last = _gate_columns(circ)
+    sweep = _parity_sweep(kinds, first, last, circ.width)
     terms: dict[int, float] = {}
-    for g, y, flip in _parity_sweep(circ, masks, bits):
-        if g.kind != "rz" or y == 0:
+    for i, s, flip in zip(_rotations_at(kinds).tolist(), sweep.slots, sweep.flips):
+        y = sweep.parities[s]
+        if y == 0:
             continue  # an RZ on the empty parity is only a global phase
-        signed = -g.angle if flip else g.angle
+        angle = gates[i].angle
+        signed = -angle if flip else angle
         terms[y] = terms[y] + signed if y in terms else signed
     for y in [y for y, a in terms.items() if abs(a) <= _ZERO_COEFF]:
         del terms[y]
-    b = sum(bit << q for q, bit in enumerate(bits))
-    return PhasePolynomial(circ.width, terms, tuple(masks), b)
+    b = sum(bit << q for q, bit in enumerate(sweep.bits))
+    return PhasePolynomial(circ.width, terms, tuple(sweep.masks), b)
 
 
 def _grouped_masks(terms: dict[int, float]):
@@ -264,84 +365,97 @@ def resynthesize(poly: PhasePolynomial, width: int) -> Circuit:
 
 # --- phase folding ----------------------------------------------------------
 
-def _commutes_with_cnot(control: int, target: int, g: Gate) -> bool:
-    kind, qubits = g.kind, g.qubits
-    if kind == "cnot":
-        return qubits[1] != control and qubits[0] != target
-    if kind == "rz":
-        return qubits[0] != target
-    if kind == "x":
-        return qubits[0] != control
-    return False
-
-
-def _cancel_cnot_pairs(gates: list[Gate]) -> tuple[list[Gate], int]:
+def _cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
     """Remove CNOT pairs separated only by gates the CNOT commutes with.
 
     Scans left to right, pairing each CNOT with the first identical CNOT
     past the gates it commutes with, and repeats until a scan cancels
-    nothing.  The live gates form a circular doubly linked list through
-    ``nxt``/``prv`` (node k is ``gates[k]``, node n the sentinel), so a
-    cancelled pair is unlinked in O(1) and the scan continues at the next
-    live gate.
+    nothing.  A CNOT commutes with a CNOT whose target is not its control
+    and whose control is not its target, with an RZ off its target and
+    with an X off its control, and with no other gate.
     """
-    n = len(gates)
-    nxt = array("l", range(1, n + 2))
-    prv = array("l", range(-1, n))
-    nxt[n], prv[0] = 0, n
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        i = nxt[n]
-        while i != n:
-            g = gates[i]
-            if g.kind == "cnot":
-                control, target = g.qubits
-                j = nxt[i]
-                while j != n:
-                    other = gates[j]
-                    if other.kind == "cnot" and other.qubits == g.qubits:
-                        for k in (j, i):
-                            nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
-                        removed += 2
-                        changed = True
-                        break
-                    if not _commutes_with_cnot(control, target, other):
-                        break
-                    j = nxt[j]
-            i = nxt[i]  # still i's successor when i was just unlinked
-    alive = []
-    i = nxt[n]
-    while i != n:
-        alive.append(gates[i])
-        i = nxt[i]
-    return alive, removed
+    kinds, first, last = _gate_columns(gates)
+    width = max(max(first, default=0), max(last, default=0)) + 1
+    alive = range(len(gates))
+    while True:
+        keep = _cancel_scan(kinds, first, last, width)
+        if all(keep):
+            break
+        alive, kinds, first, last = (_kept(c, keep) for c in (alive, kinds, first, last))
+    return [gates[i] for i in alive], len(gates) - len(alive)
 
 
-def _fold_segment(segment: list[Gate], width: int) -> tuple[list[Gate], int, int, int]:
+def _cancel_scan(kinds: bytes, first: list[int], last: list[int], width: int) -> bytearray:
+    """One scan of ``_cancel_cnot_pairs``, in one pass; returns a keep mask.
+
+    The scan's look-ahead from a CNOT passes live commuting gates up to its
+    partner, so a CNOT cancels with the latest uncancelled identical CNOT
+    when no live gate between them blocks it.  ``blocked_control[w]`` and
+    ``blocked_target[w]`` hold the index of the latest live gate that does
+    not commute with a CNOT controlled by, or targeting, wire w: an X on w
+    or a CNOT targeting w, and an RZ on w or a CNOT controlled by w.
+    """
+    latest: dict[int, int] = {}  # c * width + t: index of the latest live CNOT (c, t)
+    blocked_control = [-1] * width
+    blocked_target = [-1] * width
+    keep = bytearray(b"\x01") * len(kinds)
+    for p, k, c, t in zip(count(), kinds, first, last):
+        if k == _CNOT:
+            key = c * width + t
+            o = latest.get(key, -1)
+            if o > blocked_control[c] and o > blocked_target[t]:
+                keep[o] = keep[p] = 0
+                latest[key] = -1
+            else:
+                latest[key] = p
+                blocked_control[t] = blocked_target[c] = p
+        elif k == _RZ:
+            blocked_target[c] = p
+        elif k == _X:
+            blocked_control[c] = p
+        else:  # commutes with no CNOT
+            blocked_control[:] = blocked_target[:] = [p] * width
+    return keep
+
+
+def _fold_segment(segment, width: int) -> tuple[list[Gate], int, int, int]:
     """Fold one {X, CNOT, RZ} run: merge same-parity rotations into their
     first occurrence (zero results kept in place), drop global-phase
-    rotations, then cancel the CNOT pairs the merges exposed."""
-    out: list[Gate] = []
-    first: dict[int, tuple[int, int]] = {}
-    merged = dropped = 0
-    for g, y, b in _parity_sweep(segment, [1 << q for q in range(width)], [0] * width):
-        if g.kind != "rz":
-            out.append(g)
-        elif y == 0:
-            dropped += 1
-        elif y in first:
-            pos, b0 = first[y]
-            host = out[pos]
-            delta = -g.angle if b != b0 else g.angle
-            out[pos] = host.shifted(host.angle + delta)
-            merged += 1
-        else:
-            first[y] = (len(out), b)
-            out.append(g)
-    out, cancelled = _cancel_cnot_pairs(out)
-    return out, merged, dropped, cancelled
+    rotations, then cancel the CNOT pairs the merges exposed.
+
+    Each parity's angle is summed in place, left to right from its first
+    rotation's angle, and one gate is built per parity that merged.
+    """
+    kinds, first, last = _gate_columns(segment)
+    slots, flips, parities, hosts, _, _ = _parity_sweep(kinds, first, last, width)
+    slot = np.array(slots, dtype=np.int32)
+    del slots  # freed before the arrays below are built
+    hosts = np.array(hosts, dtype=np.intp)
+    at = _rotations_at(kinds)
+    rotations = compress(segment, kinds.translate(_IS_RZ))
+    angles = np.fromiter(map(attrgetter("angle"), rotations), float, len(at))
+    sums = angles[hosts]
+    flip = np.frombuffer(flips, np.uint8)
+    np.negative(angles, out=angles, where=flip != flip[hosts][slot])  # signed deltas
+    live = slot != (parities.index(0) if 0 in parities else -1)  # not a global phase
+    rest = live.copy()
+    rest[hosts] = False  # the rotations merged into a host
+    with np.errstate(over="ignore"):  # an infinite sum is rejected below
+        np.add.at(sums, slot[rest], angles[rest])  # unbuffered, in rotation order
+    merged_hosts: dict[int, Gate] = {}  # position: the host with its merged angle
+    for s in np.flatnonzero(np.bincount(slot[rest], minlength=len(parities))).tolist():
+        total = float(sums[s])
+        if not math.isfinite(total):
+            raise ValueError("gate angle must be finite")
+        pos = int(at[hosts[s]])
+        merged_hosts[pos] = segment[pos].shifted(total)
+    keep = np.ones(len(segment), dtype=bool)
+    keep[at[rest | ~live]] = False
+    mask = keep.tobytes()
+    kept = list(compress(map(merged_hosts.get, count(), segment), mask))
+    columns = (np.frombuffer(kinds, np.uint8)[keep].tobytes(), _kept(first, mask), _kept(last, mask))
+    out, cancelled = _cancel_cnot_pairs(_GateRun(kept, columns))
+    return out, int(rest.sum()), int((~live).sum()), cancelled
 
 
 def fold_phases(circ: Circuit) -> tuple[Circuit, PassReport]:
@@ -353,35 +467,31 @@ def fold_phases(circ: Circuit) -> tuple[Circuit, PassReport]:
     arbitrary inputs is preserved.  Folding a naive encoded gadget chain
     collapses it to a single Gray cycle with Walsh-summed angles.
     """
+    gates = circ.gates
+    kinds, first, last = _gate_columns(circ)
+    bounds = np.flatnonzero(_NOT_FOLDABLE[np.frombuffer(kinds, np.uint8)]).tolist()
     out: list[Gate] = []
-    segment: list[Gate] = []
     merged = dropped = cancelled = 0
-
-    def close_segment() -> None:
-        nonlocal merged, dropped, cancelled
-        if not segment:
-            return
-        folded, m, d, c = _fold_segment(segment, circ.width)
-        merged += m
-        dropped += d
-        cancelled += c
-        out.extend(folded)
-        segment.clear()
-
-    for g in circ:
-        if g.kind in FOLDABLE_KINDS:
-            segment.append(g)
-        else:
-            close_segment()
-            out.append(g)
-    close_segment()
-    result = Circuit(circ.width, tuple(out))
+    start = 0
+    for stop in bounds + [len(gates)]:
+        if start < stop:
+            part = slice(start, stop)
+            segment = _GateRun(gates, (kinds[part], first[part], last[part]), start, stop)
+            folded, m, d, c = _fold_segment(segment, circ.width)
+            merged += m
+            dropped += d
+            cancelled += c
+            out += folded
+        if stop < len(gates):
+            out.append(gates[stop])
+        start = stop + 1
+    result = _trusted_circuit(circ.width, tuple(out))
     rewrites = [
         f"rz-merged: {merged}",
         f"rz-global-dropped: {dropped}",
         f"cnot-cancelled: {cancelled}",
     ]
-    return result, _report(circ, result, rewrites)
+    return result, PassReport(_tally(kinds), gate_counts(result), tuple(rewrites))
 
 
 # --- full pipeline ----------------------------------------------------------

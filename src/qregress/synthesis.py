@@ -8,13 +8,16 @@ per-selector angles a_j.  Everything here reduces to that identity.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
+from operator import itemgetter
 
 import numpy as np
 
 from . import circuit as cir
-from .circuit import Circuit, CountReport, Gate
+from .circuit import Circuit, CountReport, Gate, _gate_columns, _with_columns
 from .data import DataTable, RegisterLayout, flatten_padded, layout_for
 from .errors import CapacityError
 
@@ -31,15 +34,22 @@ def gray_sequence(n: int) -> list[int]:
     final element returns the top bit so the CNOT parity telescopes back
     to identity over the full cycle.
     """
+    return list(_gray_walk(n)[1])
+
+
+@functools.lru_cache(maxsize=4)
+def _gray_walk(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(masks, bits) of the closed Gray-code walk on n bits, computed once
+    per n: step k visits selector mask ``k ^ (k >> 1)`` and then flips
+    control bit ``bits[k]``."""
     if n < 1:
         raise ValueError("gray_sequence needs n >= 1")
     if n > _GRAY_LIMIT:
         raise CapacityError(f"gray_sequence supports n <= {_GRAY_LIMIT}")
-    out = []
-    for i in range(2**n):
-        k = i + 1
-        out.append((k & -k).bit_length() - 1 if k < 2**n else n - 1)
-    return out
+    size = 2**n
+    masks = tuple(k ^ (k >> 1) for k in range(size))
+    bits = tuple((k & -k).bit_length() - 1 for k in range(1, size)) + (n - 1,)
+    return masks, bits
 
 
 def _parity_table(n: int) -> np.ndarray:
@@ -86,34 +96,40 @@ def walsh_angles(alphas) -> np.ndarray:
 def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[Gate]:
     """Gate list of one uniformly controlled rotation cycle.
 
-    The only Gray-cycle walk in the package: step k rotates by
-    ``angles_by_mask[k ^ (k >> 1)]``, then a CNOT flips the control bit
-    ``gray_sequence(n)[k]`` of the running parity.  ``angles_by_mask[y]``
-    is indexed by control-index mask y (bit b stands for ``controls[b]``).
+    Step k rotates by ``angles_by_mask[k ^ (k >> 1)]``, then a CNOT flips
+    the control bit ``gray_sequence(n)[k]`` of the running parity.
+    ``angles_by_mask[y]`` is indexed by control-index mask y (bit b stands
+    for ``controls[b]``).
 
     ``pushed=False`` emits the plain form (RZ on the target, CNOTs control
     -> target), used by ``synthesize_uniform_z``, ``build_state_prep``,
-    ``decompose_mcrz``, ``passes.resynthesize`` and the reference cascade.
-    ``pushed=True`` emits the basis-changed form with RX rotations and CNOT
-    direction reversed, used by the optimized ``build_regression_circuit``.
+    ``passes.resynthesize`` and the reference cascade.  ``pushed=True``
+    emits the basis-changed form with RX rotations and CNOT direction
+    reversed, used by the optimized ``build_regression_circuit``.
     """
     controls = list(controls)
-    rot = cir.rx if pushed else cir.rz
+    # every rotation of the cycle shares one qubit tuple
+    kind, wire = ("rx" if pushed else "rz"), (int(target),)
     if not controls:
-        return [rot(target, float(angles_by_mask[0]))]
-    # one shared CNOT per control and one rotation per distinct angle: a
-    # cycle repeats each many times (an mcrz expansion has only two angles)
+        return [Gate(kind, wire, cir._checked_angle(float(angles_by_mask[0])))]
     flips = [cir.cnot(target, c) if pushed else cir.cnot(c, target) for c in controls]
-    rots: dict = {}
-    gates: list[Gate] = []
-    for k, bit in enumerate(gray_sequence(len(controls))):
-        angle = float(angles_by_mask[k ^ (k >> 1)])
-        key = angle if angle else str(angle)  # 0.0 == -0.0, "0.0" != "-0.0"
-        g = rots.get(key)
-        if g is None:
-            g = rots[key] = rot(target, angle)
-        gates.append(g)
-        gates.append(flips[bit])
+    values = list(map(float, angles_by_mask))
+    if 0.0 in values:  # 0.0 == -0.0: key zeros by str so both signs stay
+        values = [a if a else str(a) for a in values]
+    walked = itemgetter(*_gray_walk(len(controls))[0])(values)
+    # one rotation per distinct angle, made in walk order
+    rots = {key: Gate(kind, wire, cir._checked_angle(float(key))) for key in dict.fromkeys(walked)}
+    return _gray_cycle(map(rots.__getitem__, walked), flips)
+
+
+def _gray_cycle(rotations, flips: list[Gate]) -> list[Gate]:
+    """The only Gray-cycle emitter: rotation k of the walk, then the CNOT
+    of the control bit the walk flips after step k.  ``flips[b]`` is the
+    shared CNOT of control b; a cycle repeats each one many times."""
+    bits = _gray_walk(len(flips))[1]
+    gates: list = [None] * (2 * len(bits))
+    gates[0::2] = rotations
+    gates[1::2] = itemgetter(*bits)(flips)
     return gates
 
 
@@ -134,13 +150,18 @@ def synthesize_uniform_z(control_qubits, target: int, alphas) -> Circuit:
 
 def _mcrz_gates(gate: Gate) -> list[Gate]:
     """Gray-cycle expansion of one mcrz gate, unvalidated."""
-    controls = gate.controls
+    controls, target = gate.controls, gate.target
     n = len(controls)
     if n > _DECOMPOSE_LIMIT:
         raise CapacityError(f"decompose_mcrz supports up to {_DECOMPOSE_LIMIT} controls")
     base = gate.angle / 2**n
-    angles = [-base if y.bit_count() & 1 else base for y in range(2**n)]
-    return _uniform_block(controls, gate.target, angles, pushed=False)
+    if not n:
+        return [cir.rz(target, base)]
+    flips = [cir.cnot(c, target) for c in controls]
+    # selector y rotates by (-1)**popcount(y) * base, and the parity of the
+    # walk's selector alternates, so two rotation objects serve the cycle
+    pair = (cir.rz(target, base), cir.rz(target, -base))
+    return _gray_cycle(pair * 2 ** (n - 1), flips)
 
 
 def decompose_mcrz(gate: Gate) -> Circuit:
@@ -152,14 +173,40 @@ def decompose_mcrz(gate: Gate) -> Circuit:
 
 
 def decompose_all_mcrz(circ: Circuit) -> Circuit:
-    """Replace every mcrz node in ``circ`` by its elementary expansion."""
+    """Replace every mcrz node in ``circ`` by its elementary expansion.
+
+    The output carries its flat columns for the rewrite passes; nodes on
+    the same wires expand to the same columns, read once.
+    """
     gates: list[Gate] = []
+    parts: list[tuple] = []  # the columns of each run of output gates
+    expanded: dict[tuple[int, ...], tuple] = {}  # wires: columns of their expansion
+    start = 0  # first output gate whose columns are not in parts
     for g in circ:
-        if g.kind == "mcrz":
-            gates.extend(_mcrz_gates(g))
-        else:
+        if g.kind != "mcrz":
             gates.append(g)
-    return Circuit(circ.width, tuple(gates))
+            continue
+        if start < len(gates):
+            parts.append(_gate_columns(gates[start:]))
+        expansion = _mcrz_gates(g)
+        columns = expanded.get(g.qubits)
+        if columns is None:
+            columns = expanded[g.qubits] = _gate_columns(expansion)
+        parts.append(columns)
+        gates += expansion
+        start = len(gates)
+    if start < len(gates):
+        parts.append(_gate_columns(gates[start:]))
+    columns = tuple(map(_joined, zip(*parts))) if parts else None
+    return _with_columns(Circuit(circ.width, tuple(gates)), columns)
+
+
+def _joined(chunks) -> bytes | list[int]:
+    """Concatenated column chunks: bytes, or a list once a chunk is one."""
+    try:
+        return b"".join(chunks)
+    except TypeError:
+        return list(itertools.chain.from_iterable(chunks))
 
 
 # --- encoded-table circuits -------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qregress as q
+from qregress import circuit as cir
 from qregress.errors import CapacityError
 
 from conftest import max_unitary_distance, random_circuit
@@ -53,6 +54,28 @@ class TestConstruction:
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):
             q.rz(0, float("nan"))
+
+    def test_append_and_extended_validate_only_the_new_gates(self, monkeypatch):
+        base = q.new_circuit(3).extended([q.h(0), q.cnot(0, 1), q.rz(2, 0.5)])
+        calls = []
+        validate = cir._validate_gate
+        monkeypatch.setattr(cir, "_validate_gate", lambda g, w: calls.append(g) or validate(g, w))
+        gate = q.x(2)
+        longer = base.append(gate)
+        assert calls == [gate]
+        calls.clear()
+        new = [q.rx(1, 0.25), q.mcrz([0, 1], 2, 0.5)]
+        again = longer.extended(iter(new))
+        assert calls == new
+        assert again.gates == base.gates + (gate, *new)
+        assert type(again.gates) is tuple and again.width == 3
+
+    def test_extended_rejects_an_invalid_new_gate(self):
+        base = q.new_circuit(2).append(q.h(0))
+        with pytest.raises(ValueError, match="qubit 2 out of range for width 2"):
+            base.extended([q.x(1), q.h(2)])
+        with pytest.raises(ValueError, match="cnot control and target must differ"):
+            base.append(q.Gate("cnot", (1, 1)))
 
 
 class TestCounts:
@@ -200,3 +223,47 @@ class TestJson:
 
         with pytest.raises(ValueError):
             q.circuit_from_json(json.dumps({"width": 1, "gates": [{"kind": "t", "qubit": 0}]}))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"width": 3.9, "gates": []}, "width must be an integer, got 3.9"),
+            ({"width": 3.0, "gates": []}, "width must be an integer, got 3.0"),
+            ({"width": True, "gates": []}, "width must be an integer, got True"),
+            ({"width": "3", "gates": []}, "width must be an integer, got '3'"),
+            ({"width": 3, "gates": [{"kind": "x", "qubit": 2.7}]}, "qubit must be an integer, got 2.7"),
+            ({"width": 3, "gates": [{"kind": "h", "qubit": True}]}, "qubit must be an integer, got True"),
+            ({"width": 3, "gates": [{"kind": "rz", "qubit": "0", "angle": 0.5}]},
+             "qubit must be an integer, got '0'"),
+            ({"width": 3, "gates": [{"kind": "rx", "qubit": None, "angle": 0.5}]},
+             "qubit must be an integer, got None"),
+            ({"width": 3, "gates": [{"kind": "cnot", "control": 0.0, "target": 1}]},
+             "control must be an integer, got 0.0"),
+            ({"width": 3, "gates": [{"kind": "cnot", "control": 0, "target": False}]},
+             "target must be an integer, got False"),
+            ({"width": 3, "gates": [{"kind": "mcrz", "controls": [0, "1"], "target": 2, "angle": 0.5}]},
+             "control must be an integer, got '1'"),
+            ({"width": 3, "gates": [{"kind": "mcrz", "controls": "01", "target": 2, "angle": 0.5}]},
+             "mcrz controls must be a list, got '01'"),
+            ({"width": 3, "gates": [{"kind": "mcrz", "controls": [0], "target": 1.5, "angle": 0.5}]},
+             "target must be an integer, got 1.5"),
+        ],
+    )
+    def test_non_integer_index_rejected(self, payload, message):
+        import json
+
+        with pytest.raises(ValueError) as err:
+            q.circuit_from_json(json.dumps(payload))
+        assert str(err.value) == message
+
+    def test_integer_indexes_accepted(self):
+        import json
+
+        payload = {"width": 3, "gates": [
+            {"kind": "x", "qubit": 2},
+            {"kind": "cnot", "control": 0, "target": 2},
+            {"kind": "mcrz", "controls": [], "target": 1, "angle": 0.5},
+        ]}
+        c = q.circuit_from_json(json.dumps(payload))
+        assert c.gates == (q.x(2), q.cnot(0, 2), q.mcrz([], 1, 0.5))
+        assert all(type(v) is int for g in c for v in g.qubits)

@@ -121,6 +121,15 @@ class TestPrepare:
         vec.write_text(json.dumps([0.0, 0.0]))
         assert run_cli(["prepare", str(vec)]) == 2
 
+    def test_circuit_out_without_out(self, tmp_path):
+        vec = tmp_path / "vec.json"
+        vec.write_text(json.dumps([0.5, -0.25, 0.75]))
+        circ_out = tmp_path / "circ.json"
+        assert run_cli(["prepare", str(vec), "--circuit-out", str(circ_out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["circ.json", "vec.json"]
+        circ = q.circuit_from_json(circ_out.read_text())
+        assert circ.gates == q.build_state_prep([0.5, -0.25, 0.75])[0].gates
+
 
 class TestOptimize:
     def test_small_encoder_file(self, tmp_path, rng):
@@ -164,6 +173,32 @@ class TestOptimize:
         assert run_cli(["optimize", str(src), "--out", str(mid)]) == 0
         assert run_cli(["optimize", str(mid), "--out", str(final)]) == 0
         assert mid.read_text() == final.read_text()
+
+    def test_verify_too_wide_writes_nothing(self, tmp_path):
+        wide = q.new_circuit(12).extended(q.h(w) for w in range(12))
+        src = tmp_path / "wide.json"
+        src.write_text(q.circuit_to_json(wide))
+        dst, report_path = tmp_path / "out.json", tmp_path / "report.json"
+        argv = ["optimize", str(src), "--out", str(dst), "--report", str(report_path), "--verify"]
+        assert run_cli(argv) == 4
+        assert not dst.exists() and not report_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"width": 3.9, "gates": []},
+            {"width": 3, "gates": [{"kind": "x", "qubit": 2.7}]},
+            {"width": 3, "gates": [{"kind": "x", "qubit": True}]},
+            {"width": 3, "gates": [{"kind": "x", "qubit": "0"}]},
+        ],
+        ids=["float-width", "float-qubit", "bool-qubit", "string-qubit"],
+    )
+    def test_non_integer_index_exit_code(self, tmp_path, payload):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(payload))
+        assert run_cli(["optimize", str(src), "--out", str(tmp_path / "o.json")]) == 2
+        assert not (tmp_path / "o.json").exists()
 
     def test_malformed_json_exit_code(self, tmp_path):
         src = tmp_path / "bad.json"
