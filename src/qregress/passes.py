@@ -92,10 +92,11 @@ class _GateRun(Sequence):
 
 
 def _kept(column, mask: bytes):
-    """The entries of ``column`` whose byte in ``mask`` is nonzero, as bytes
-    if ``column`` is bytes and as a list otherwise."""
-    kept = compress(column, mask)
-    return bytes(kept) if isinstance(column, bytes) else list(kept)
+    """The entries of ``column`` whose byte in ``mask`` is 1 (every mask byte
+    is 0 or 1), as bytes if ``column`` is bytes and as a list otherwise."""
+    if isinstance(column, bytes):
+        return np.frombuffer(column, np.uint8)[np.frombuffer(mask, bool)].tobytes()
+    return list(compress(column, mask))
 
 
 # --- Pauli pushing ----------------------------------------------------------
@@ -421,12 +422,28 @@ def _cancel_scan(kinds: bytes, first: list[int], last: list[int], width: int) ->
 def _fold_segment(segment, width: int) -> tuple[list[Gate], int, int, int]:
     """Fold one {X, CNOT, RZ} run: merge same-parity rotations into their
     first occurrence (zero results kept in place), drop global-phase
-    rotations, then cancel the CNOT pairs the merges exposed.
+    rotations, then cancel the CNOT pairs the merges exposed."""
+    kinds, first, last = _gate_columns(segment)
+    dropped, totals, merged = _merge_rotations(segment, kinds, first, last, width)
+    keep = np.ones(len(segment), dtype=bool)
+    keep[dropped] = False
+    mask = keep.tobytes()
+    kept = _kept(segment, mask)
+    for pos, total in totals.items():  # index in kept: pos less the drops before it
+        kept[pos - int(np.searchsorted(dropped, pos))] = segment[pos].shifted(total)
+    columns = tuple(_kept(column, mask) for column in (kinds, first, last))
+    out, cancelled = _cancel_cnot_pairs(_GateRun(kept, columns))
+    return out, merged, len(dropped) - merged, cancelled
+
+
+def _merge_rotations(segment, kinds: bytes, first, last, width: int):
+    """The merge step of ``_fold_segment``.
 
     Each parity's angle is summed in place, left to right from its first
-    rotation's angle, and one gate is built per parity that merged.
+    rotation's angle.  Returns the ascending positions of the rotations that
+    go (merged into a host, or on the empty parity), the summed angle of
+    each host position that merged, and the number merged.
     """
-    kinds, first, last = _gate_columns(segment)
     slots, flips, parities, hosts, _, _ = _parity_sweep(kinds, first, last, width)
     slot = np.array(slots, dtype=np.int32)
     del slots  # freed before the arrays below are built
@@ -442,20 +459,13 @@ def _fold_segment(segment, width: int) -> tuple[list[Gate], int, int, int]:
     rest[hosts] = False  # the rotations merged into a host
     with np.errstate(over="ignore"):  # an infinite sum is rejected below
         np.add.at(sums, slot[rest], angles[rest])  # unbuffered, in rotation order
-    merged_hosts: dict[int, Gate] = {}  # position: the host with its merged angle
+    totals: dict[int, float] = {}
     for s in np.flatnonzero(np.bincount(slot[rest], minlength=len(parities))).tolist():
         total = float(sums[s])
         if not math.isfinite(total):
             raise ValueError("gate angle must be finite")
-        pos = int(at[hosts[s]])
-        merged_hosts[pos] = segment[pos].shifted(total)
-    keep = np.ones(len(segment), dtype=bool)
-    keep[at[rest | ~live]] = False
-    mask = keep.tobytes()
-    kept = list(compress(map(merged_hosts.get, count(), segment), mask))
-    columns = (np.frombuffer(kinds, np.uint8)[keep].tobytes(), _kept(first, mask), _kept(last, mask))
-    out, cancelled = _cancel_cnot_pairs(_GateRun(kept, columns))
-    return out, int(rest.sum()), int((~live).sum()), cancelled
+        totals[int(at[hosts[s]])] = total
+    return at[rest | ~live], totals, int(rest.sum())
 
 
 def fold_phases(circ: Circuit) -> tuple[Circuit, PassReport]:
