@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +97,27 @@ def _checked_angle(angle: float) -> float:
     return a
 
 
+class _Block(NamedTuple):
+    """One pushed uniformly controlled rotation.
+
+    As a unitary it is H^(x)S . D . H^(x)S over S = controls + target, where
+    D = diag(exp(-i a_j z / 2)), j is the control index (little-endian over
+    ``controls``) and z = +1 or -1 as the target reads 0 or 1
+    (Mottonen et al., PRL 93, 130502 (2004)).  Its gates are
+    ``synthesis._uniform_block(controls, target, walsh_angles(angles),
+    pushed=True)``: an RX and a CNOT per selector, or one RX without controls.
+    """
+
+    controls: tuple[int, ...]
+    target: int
+    angles: np.ndarray  # a_j, one per control index j
+
+
+def _block_tally(block: _Block) -> "CountReport":
+    size = 2 ** len(block.controls)
+    return CountReport(rx=size, cnot=size if block.controls else 0)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over a fixed number of qubits.
@@ -104,12 +126,22 @@ class Circuit:
     ``append`` and ``extended`` for the new gates only.  Rewrite passes that
     emit only gates derived from an already validated circuit build their
     output without validating it again.
+
+    A circuit built from uniformly controlled blocks (the optimized
+    ``build_regression_circuit``) keeps them in ``_blocks`` and lowers its
+    ``gates`` from them when they are first read; ``len`` and
+    ``gate_counts`` come from the block sizes, and ``simulate`` applies the
+    blocks themselves.
     """
 
     width: int
-    gates: tuple[Gate, ...] = ()
+    # no class-level default: a block circuit has no ``gates`` until
+    # __getattr__ lowers them
+    gates: tuple[Gate, ...] = field(default_factory=tuple)
     # flat columns of ``gates`` left by the code that built them; see _gate_columns
     _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the _Block tuple ``gates`` lowers from, or None
+    _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
@@ -117,6 +149,17 @@ class Circuit:
         validate, width = _validate_gate, self.width
         for g in self.gates:
             validate(g, width)
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: ``gates`` of a
+        # block circuit before its first read
+        if name != "gates" or self._blocks is None:
+            raise AttributeError(f"'Circuit' object has no attribute {name!r}")
+        from .synthesis import _lower_blocks
+
+        gates = _lower_blocks(self._blocks)
+        object.__setattr__(self, "gates", gates)
+        return gates
 
     def append(self, gate: Gate) -> "Circuit":
         """Return a new circuit with ``gate`` appended."""
@@ -132,6 +175,8 @@ class Circuit:
         return _trusted_circuit(width, self.gates + new)
 
     def __len__(self) -> int:
+        if self._blocks is not None:
+            return gate_counts(self).total
         return len(self.gates)
 
     def __iter__(self):
@@ -183,6 +228,14 @@ def _trusted_circuit(width: int, gates: tuple[Gate, ...], columns=None) -> Circu
     object.__setattr__(circ, "width", width)
     object.__setattr__(circ, "gates", gates)
     return _with_columns(circ, columns)
+
+
+def _block_circuit(width: int, blocks) -> Circuit:
+    """A circuit of valid ``blocks`` whose gates are lowered on first read."""
+    circ = object.__new__(Circuit)
+    object.__setattr__(circ, "width", width)
+    object.__setattr__(circ, "_blocks", tuple(blocks))
+    return circ
 
 
 def new_circuit(width: int) -> Circuit:
@@ -272,6 +325,8 @@ class CountReport:
 
 def gate_counts(circuit: Circuit) -> CountReport:
     """Exact per-kind gate tally of ``circuit``."""
+    if circuit._blocks is not None:
+        return sum(map(_block_tally, circuit._blocks), CountReport())
     if circuit._columns is not None:
         return _tally(circuit._columns[0])
     return CountReport(**Counter(map(attrgetter("kind"), circuit)))
@@ -415,26 +470,47 @@ def _index(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (integer or float); no string or boolean is coerced."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is out of range") from None
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object, which is all a file's top level or entry may be."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def gate_from_obj(obj: dict) -> Gate:
-    kind = obj["kind"]
+    kind = _object(obj, "gate")["kind"]
     if kind == "x":
         return x(_index(obj["qubit"], "qubit"))
     if kind == "h":
         return h(_index(obj["qubit"], "qubit"))
     if kind == "rz":
-        return rz(_index(obj["qubit"], "qubit"), obj["angle"])
+        return rz(_index(obj["qubit"], "qubit"), _number(obj["angle"], "angle"))
     if kind == "rx":
-        return rx(_index(obj["qubit"], "qubit"), obj["angle"])
+        return rx(_index(obj["qubit"], "qubit"), _number(obj["angle"], "angle"))
     if kind == "cnot":
         return cnot(_index(obj["control"], "control"), _index(obj["target"], "target"))
     if kind == "mcrz":
-        controls = obj["controls"]
-        if not isinstance(controls, list):
-            raise ValueError(f"mcrz controls must be a list, got {controls!r}")
+        controls = _list(obj["controls"], "mcrz controls")
         return mcrz(
             [_index(c, "control") for c in controls],
             _index(obj["target"], "target"),
-            obj["angle"],
+            _number(obj["angle"], "angle"),
         )
     raise ValueError(f"unknown gate kind {kind!r}")
 
@@ -445,7 +521,7 @@ def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    payload = json.loads(text)
+    payload = _object(json.loads(text), "a circuit file")
     width = _index(payload["width"], "width")
-    gates = tuple(gate_from_obj(o) for o in payload["gates"])
+    gates = tuple(gate_from_obj(o) for o in _list(payload["gates"], "gates"))
     return Circuit(width, gates)

@@ -2,14 +2,22 @@
 
 States are little-endian complex vectors of length 2**width.  Sampled
 bitstrings are printed most-significant qubit first, so qubit 0 is the
-rightmost character.  Noise follows a trajectory model: after each gate a
-Pauli fault fires with the configured probability and flipped readout bits
-are applied at measurement; shots sharing a fault pattern are simulated
-once and sampled together, which is exactly per-shot sampling done in
-groups.
+rightmost character.
+
+``simulate`` applies a circuit built from uniformly controlled blocks (the
+optimized regression circuit) one block at a time, as a Hadamard layer, a
+diagonal and a Hadamard layer, so exact evaluation never lowers its gates
+(they are lowered only when ``Circuit.gates`` is first read).  Every other
+circuit runs gate by gate, and noisy sampling reads the lowered gates.
+
+Noise follows a trajectory model: after each gate a Pauli fault fires with
+the configured probability and flipped readout bits are applied at
+measurement; shots sharing a fault pattern are simulated once and sampled
+together, which is exactly per-shot sampling done in groups.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply_gate
+from .circuit import Circuit, _Block, _list, _number, _object, apply_gate
 from .data import RegisterLayout
 from .errors import CapacityError, DegenerateProjectionError, EstimatorStarvedError
 
@@ -31,13 +39,58 @@ DEFAULT_READOUT_FLIP = 0.02
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
-    """Noiseless statevector after applying every gate to |0...0>."""
+    """Noiseless statevector after applying every gate to |0...0>.
+
+    A circuit that carries uniformly controlled blocks is applied block by
+    block in O(|S| * 2**width) each, without lowering its gates.
+    """
     if circuit.width > _SIMULATE_WIDTH_LIMIT:
         raise CapacityError(f"simulate supports width <= {_SIMULATE_WIDTH_LIMIT}")
     state = np.zeros(2**circuit.width, dtype=complex)
     state[0] = 1.0
+    if circuit._blocks is not None:
+        for block in circuit._blocks:
+            state = _apply_block(state, block, circuit.width)
+        return state
     for g in circuit:
         state = apply_gate(state, g, circuit.width)
+    return state
+
+
+def _apply_block(state: np.ndarray, block: _Block, width: int) -> np.ndarray:
+    """H on every wire of S = controls + target, then exp(-i a_j z / 2) on
+    each basis state (control index j, target Z eigenvalue z), then H on S
+    again: the block's unitary, equal to its lowered gates.  The 2**-|S| of
+    the two Hadamard layers is applied once, with the diagonal."""
+    wires = (*block.controls, block.target)
+    state = _unscaled_hadamards(state, wires, width)
+    phase = np.exp(-0.5j * block.angles) * 2.0 ** -len(wires)
+    table = np.concatenate([phase, phase.conj()])
+    state *= table[_phase_index(width, block.controls, block.target)]
+    return _unscaled_hadamards(state, wires, width)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_index(width: int, controls: tuple[int, ...], target: int) -> np.ndarray:
+    """Per basis state, the index of its phase in a block's table: control
+    index j while the target reads 0, 2**len(controls) + j while it reads 1.
+    Computed once per register layout; read-only because it is shared."""
+    idx = np.arange(2**width)
+    out = ((idx >> target) & 1) << len(controls)
+    for b, c in enumerate(controls):
+        out |= ((idx >> c) & 1) << b
+    out.flags.writeable = False
+    return out
+
+
+def _unscaled_hadamards(state: np.ndarray, wires, width: int) -> np.ndarray:
+    """sqrt(2) * H on each of ``wires``: amplitudes (a, b) become (a + b, a - b)."""
+    for q in wires:
+        view = state.reshape(2 ** (width - 1 - q), 2, 2**q)
+        out = np.empty_like(view)
+        np.add(view[:, 0], view[:, 1], out=out[:, 0])
+        np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+        state = out.reshape(-1)
     return state
 
 
@@ -129,11 +182,13 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
-        obj = json.loads(text)
-        readout = tuple(
-            (float(r["p10"]), float(r["p01"])) for r in obj.get("readout", ())
-        )
-        return cls(float(obj.get("p1", 0.0)), float(obj.get("p2", 0.0)), readout)
+        """Parse a noise file: an object whose rates are JSON numbers and
+        whose readout entries are {"p10": ..., "p01": ...} objects; anything
+        else raises ValueError rather than being coerced."""
+        obj = _object(json.loads(text), "a noise file")
+        entries = [_object(r, "a readout entry") for r in _list(obj.get("readout", []), "readout")]
+        readout = tuple((_number(r["p10"], "p10"), _number(r["p01"], "p01")) for r in entries)
+        return cls(_number(obj.get("p1", 0.0), "p1"), _number(obj.get("p2", 0.0), "p2"), readout)
 
 
 def default_noise(width: int) -> NoiseModel:

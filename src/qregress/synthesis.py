@@ -11,13 +11,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from operator import itemgetter
 
 import numpy as np
 
 from . import circuit as cir
-from .circuit import Circuit, CountReport, Gate, _gate_columns, _with_columns
+from .circuit import (
+    Circuit,
+    CountReport,
+    Gate,
+    _Block,
+    _block_circuit,
+    _gate_columns,
+    _with_columns,
+)
 from .data import DataTable, RegisterLayout, flatten_padded, layout_for
 from .errors import CapacityError
 
@@ -105,7 +114,8 @@ def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[
     -> target), used by ``synthesize_uniform_z``, ``build_state_prep``,
     ``passes.resynthesize`` and the reference cascade.  ``pushed=True``
     emits the basis-changed form with RX rotations and CNOT direction
-    reversed, used by the optimized ``build_regression_circuit``.
+    reversed, used by ``_lower_blocks`` for the optimized
+    ``build_regression_circuit``.
     """
     controls = list(controls)
     # every rotation of the cycle shares one qubit tuple
@@ -120,6 +130,25 @@ def _uniform_block(controls, target: int, angles_by_mask, pushed: bool) -> list[
     # one rotation per distinct angle, made in walk order
     rots = {key: Gate(kind, wire, cir._checked_angle(float(key))) for key in dict.fromkeys(walked)}
     return _gray_cycle(map(rots.__getitem__, walked), flips)
+
+
+def _lower_blocks(blocks) -> tuple[Gate, ...]:
+    """The gates of pushed uniformly controlled blocks, in order: the one
+    lowering of a ``circuit._Block``."""
+    gates: list[Gate] = []
+    for b in blocks:
+        gates += _uniform_block(b.controls, b.target, walsh_angles(b.angles), pushed=True)
+    return tuple(gates)
+
+
+def _lowers_cleanly(block: _Block) -> bool:
+    """True when lowering ``block`` cannot raise: its Gray walk is in range
+    and no running sum of ``walsh_angles`` can overflow, since each of its N
+    terms is at most max|a_j| and N * max|a_j| is at most half the largest
+    float.  NaN or infinite angles fail the bound."""
+    a = block.angles
+    bound = float(np.abs(a).max()) * a.shape[0]
+    return len(block.controls) <= _GRAY_LIMIT and bound <= sys.float_info.max / 2
 
 
 def _gray_cycle(rotations, flips: list[Gate]) -> list[Gate]:
@@ -281,6 +310,12 @@ def build_regression_circuit(table: DataTable, phis, mode: str = "optimized"):
     reads the X basis.  optimized mode: the folded form with RX rotations
     and ancilla-to-data CNOTs, measured computationally.  Both define the
     same measurement distribution.  Returns (circuit, layout).
+
+    The optimized circuit holds its two pushed blocks, with per-selector
+    angles 2 * x of the flattened table and -2 * phi padded with zeros; its
+    gates are lowered when first read.  Angles that would make lowering
+    raise (NaN, infinite, or overflowing -2 * phi) raise here, as lowering
+    would.
     """
     layout = layout_for(table.n_rows, table.n_features)
     phis = np.asarray(phis, dtype=float)
@@ -294,17 +329,13 @@ def build_regression_circuit(table: DataTable, phis, mode: str = "optimized"):
         gates += [cir.h(q) for q in range(layout.width)]
         return Circuit(layout.width, tuple(gates)), layout
     if mode == "optimized":
-        flat = flatten_padded(table, layout)
-        ud = _uniform_block(
-            layout.data_qubits, layout.anc1, walsh_angles(2.0 * flat), pushed=True
+        blocks = (
+            _Block(layout.data_qubits, layout.anc1, 2.0 * flatten_padded(table, layout)),
+            _Block(layout.column_qubits, layout.anc2, _padded_phi_angles(phis, layout)),
         )
-        uc = _uniform_block(
-            layout.column_qubits,
-            layout.anc2,
-            walsh_angles(_padded_phi_angles(phis, layout)),
-            pushed=True,
-        )
-        return Circuit(layout.width, tuple(ud + uc)), layout
+        if not all(map(_lowers_cleanly, blocks)):
+            _lower_blocks(blocks)  # raises what lowering on first read would
+        return _block_circuit(layout.width, blocks), layout
     raise ValueError(f"mode must be 'naive' or 'optimized', got {mode!r}")
 
 

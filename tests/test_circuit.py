@@ -267,3 +267,34 @@ class TestJson:
         c = q.circuit_from_json(json.dumps(payload))
         assert c.gates == (q.x(2), q.cnot(0, 2), q.mcrz([], 1, 0.5))
         assert all(type(v) is int for g in c for v in g.qubits)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "a circuit file must be a JSON object, got [1, 2]"),
+            ('{"width": 1, "gates": [5]}', "gate must be a JSON object, got 5"),
+            ('{"width": 1, "gates": 5}', "gates must be a list, got 5"),
+            ('{"width": 1, "gates": [{"kind": "rz", "qubit": 0, "angle": "0.5"}]}',
+             "angle must be a number, got '0.5'"),
+            ('{"width": 1, "gates": [{"kind": "rx", "qubit": 0, "angle": true}]}',
+             "angle must be a number, got True"),
+            ('{"width": 2, "gates": [{"kind": "mcrz", "controls": [0], "target": 1, "angle": null}]}',
+             "angle must be a number, got None"),
+            ('{"width": 1, "gates": [{"kind": "rz", "qubit": 0, "angle": 1' + "0" * 400 + "}]}",
+             "angle is out of range"),
+        ],
+        ids=["list-top-level", "int-gate", "int-gates", "string-angle", "bool-angle",
+             "null-angle", "huge-int-angle"],
+    )
+    def test_non_object_or_non_number_rejected(self, text, message):
+        with pytest.raises(ValueError) as err:
+            q.circuit_from_json(text)
+        assert str(err.value) == message
+
+    def test_integer_and_signed_zero_angles_accepted(self):
+        text = (
+            '{"width": 1, "gates": [{"kind": "rz", "qubit": 0, "angle": 1},'
+            ' {"kind": "rx", "qubit": 0, "angle": -0.0}]}'
+        )
+        c = q.circuit_from_json(text)
+        assert [str(g.angle) for g in c.gates] == ["1.0", "-0.0"]

@@ -205,6 +205,22 @@ class TestOptimize:
         src.write_text("{not json")
         assert run_cli(["optimize", str(src), "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,2]",
+            '{"width": 1, "gates": [5]}',
+            '{"width": 1, "gates": [{"kind": "rz", "qubit": 0, "angle": "0.5"}]}',
+            '{"width": 1, "gates": [{"kind": "rz", "qubit": 0, "angle": true}]}',
+        ],
+        ids=["list-top-level", "int-gate-entry", "string-angle", "bool-angle"],
+    )
+    def test_malformed_circuit_file_exit_code(self, tmp_path, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert run_cli(["optimize", str(src), "--out", str(tmp_path / "o.json")]) == 2
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestTrain:
     def test_zero_iterations_exit_zero(self, tmp_path):
@@ -323,6 +339,30 @@ class TestTrain:
         )
         assert code == 2
         assert not (out / "report.json").exists()
+        assert not (out / "layout.json").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            '{"readout": [1]}',
+            '{"readout": [[0.02, 0.02]]}',
+            '{"p1": "0.1"}',
+            '{"p1": true}',
+        ],
+        ids=["list-top-level", "int-readout-entry", "list-readout-entry", "string-p1", "bool-p1"],
+    )
+    def test_malformed_noise_file_is_input_error(self, tmp_path, text):
+        noise = tmp_path / "n.json"
+        noise.write_text(text)
+        out = tmp_path / "run"
+        code = run_cli(
+            [
+                "train", "--synthetic", "16x1", "--model", "sampled",
+                "--shots", "1000", "--noise", str(noise), "--out", str(out),
+            ]
+        )
+        assert code == 2
         assert not (out / "layout.json").exists()
 
 

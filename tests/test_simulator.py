@@ -312,6 +312,28 @@ class TestNoiseModelIO:
         again = q.NoiseModel.from_json(noise.to_json())
         assert again == noise
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1]", "a noise file must be a JSON object, got [1]"),
+            ('{"readout": [1]}', "a readout entry must be a JSON object, got 1"),
+            ('{"readout": [[0.02, 0.02]]}',
+             "a readout entry must be a JSON object, got [0.02, 0.02]"),
+            ('{"readout": {"p10": 0.1, "p01": 0.1}}',
+             "readout must be a list, got {'p10': 0.1, 'p01': 0.1}"),
+            ('{"p1": "0.1"}', "p1 must be a number, got '0.1'"),
+            ('{"p1": true}', "p1 must be a number, got True"),
+            ('{"p2": null}', "p2 must be a number, got None"),
+            ('{"readout": [{"p10": "0.02", "p01": 0.02}]}', "p10 must be a number, got '0.02'"),
+        ],
+        ids=["list-top-level", "int-entry", "list-entry", "object-readout", "string-p1",
+             "bool-p1", "null-p2", "string-p10"],
+    )
+    def test_json_non_object_or_non_number_rejected(self, text, message):
+        with pytest.raises(ValueError) as err:
+            q.NoiseModel.from_json(text)
+        assert str(err.value) == message
+
     def test_default_values(self):
         noise = q.default_noise(4)
         assert noise.p1 == 0.0011 and noise.p2 == 0.0077
