@@ -24,8 +24,8 @@ for qubit in range(4):
 counts = q.sample(circ, 20000, seed=2, noise=noise)
 top = sorted(counts.counts.items(), key=lambda kv: -kv[1])[:4]
 print("\nall-ones circuit, noisy counts (top 4):", top)
-quasi = mitigate_counts(counts, confusion)
-print("after correction, P(1111) =", round(quasi.get("1111", 0.0), 4))
+quasi = mitigate_counts(counts, confusion)  # aligned with counts.outcomes
+print("after correction, P(1111) =", round(float(quasi[counts.outcomes == 0b1111].sum()), 4))
 
 # Does correction help on average? 20 seeded trials of a Z expectation.
 rng = np.random.default_rng(5)

@@ -19,6 +19,9 @@ import tempfile
 import numpy as np
 
 from .circuit import (
+    _list,
+    _number,
+    _object,
     circuit_from_json,
     circuit_to_json,
     equivalent_up_to_phase,
@@ -60,16 +63,43 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> list[str]:
-    """Apply --config file values as parser defaults; flags still override."""
+def _load_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
+    """Apply --config file values as parser defaults; flags still override.
+    A key that is not a train flag, or a value its flag would reject on the
+    command line (a switch takes a JSON boolean), raises ValueError."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if known.config:
-        with open(known.config) as fh:
-            file_values = json.load(fh)
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in file_values.items()})
-    return argv
+    if not known.config:
+        return
+    with open(known.config) as fh:
+        file_values = _object(json.load(fh), "a config file")
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    for key, value in file_values.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} is not a train flag")
+        if action.nargs == 0 and type(value) is not bool:
+            raise ValueError(f"config {key!r} must be true or false, got {value!r}")
+        if isinstance(action, argparse._AppendAction):
+            value = [_flag_value(action, key, v) for v in _list(value, f"config {key!r}")]
+        elif action.nargs != 0:
+            value = _flag_value(action, key, value)
+        parser.set_defaults(**{action.dest: value})
+
+
+def _flag_value(action: argparse.Action, key: str, value):
+    """A config value run through its flag's ``type`` and ``choices``, as
+    the text it would be on the command line."""
+    if type(value) in (str, int, float):
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            out = action.type(text) if action.type else text
+            if action.choices is None or out in action.choices:
+                return out
+        except ValueError:
+            pass
+    raise ValueError(f"config {key!r}: invalid value {value!r}")
 
 
 # --- bench -------------------------------------------------------------------
@@ -169,13 +199,14 @@ def _alignment_phase(actual: np.ndarray, target: np.ndarray) -> complex:
 
 
 def _read_vector(path: str) -> np.ndarray:
+    """A flat JSON list of JSON numbers, or whitespace-separated numbers."""
     with open(path) as fh:
         text = fh.read()
     try:
         data = json.loads(text)
-        return np.asarray(data, dtype=float)
     except json.JSONDecodeError:
-        return np.asarray([float(t) for t in text.split()], dtype=float)
+        return np.array([float(t) for t in text.split()])
+    return np.array([_number(v, "a vector entry") for v in _list(data, "a vector file")])
 
 
 # --- optimize ------------------------------------------------------------------
@@ -405,12 +436,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, train_parser = build_parser()
-    if argv and argv[0] == "train":
-        _load_config_defaults(train_parser, argv)
-    args = parser.parse_args(argv)
-    if args.command == "train" and args.data and not args.target:
-        parser.error("--target is required with --data")
     try:
+        if argv and argv[0] == "train":
+            _load_config_defaults(train_parser, argv)
+        args = parser.parse_args(argv)
+        if args.command == "train" and args.data and not args.target:
+            parser.error("--target is required with --data")
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import circuit as cir
 from .circuit import Circuit
-from .simulator import Counts, NoiseModel, _bitstring_values, sample
+from .simulator import Counts, NoiseModel, sample
 
 
 @dataclass(frozen=True)
@@ -74,33 +74,32 @@ def calibrate_readout(
 
 
 def _marginal_one(counts: Counts, qubit: int) -> float:
-    bits = (_bitstring_values(counts.counts) >> qubit) & 1
-    return int(np.dot(bits, list(counts.counts.values()))) / counts.shots
+    bits = (counts.outcomes >> qubit) & 1
+    return int(np.dot(bits, counts.tallies)) / counts.shots
 
 
-def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]:
-    """Quasi-probabilities after inverting the readout confusion.
+def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> np.ndarray:
+    """Quasi-probabilities after inverting the readout confusion, one per
+    entry of ``counts.outcomes``.
 
     The tensor-product confusion matrix is restricted to the n observed
-    bitstrings (sorted) and solved directly.  The n x n restricted matrix
-    is built with one broadcast product per qubit, A *= M_q[b_q, b_q^T]
-    over the observed bit columns b_q, in qubit order, so every entry is
-    the same float as the per-entry product M_0[..] * M_1[..] * ...  If the
+    outcomes and solved directly.  The n x n restricted matrix is built
+    with one broadcast product per qubit, A *= M_q[b_q, b_q^T] over the
+    observed bit columns b_q, in qubit order, so every entry is the same
+    float as the per-entry product M_0[..] * M_1[..] * ...  If the
     restricted system is singular the full per-qubit inverse is applied
-    instead.  Negative entries are clipped and the result renormalized to
-    sum to one.  With identity confusion the empirical frequencies come
-    back unchanged.
+    instead.  Negative entries are clipped to zero and the result
+    renormalized to sum to one.  With identity confusion the empirical
+    frequencies come back unchanged.
     """
-    if not counts.counts:
+    if not counts.outcomes.size:
         raise ValueError("counts must be non-empty")
-    width = counts.width or len(next(iter(counts.counts)))
-    if confusion.width < width:
+    if confusion.width < counts.width:
         raise ValueError("confusion set narrower than the measured register")
-    observed = sorted(counts.counts)
-    freq = np.array([counts.counts[b] / counts.shots for b in observed])
+    freq = counts.tallies / counts.shots
     if confusion.is_identity:
-        return {b: float(f) for b, f in zip(observed, freq)}
-    values = _bitstring_values(observed)
+        return freq
+    values, width = counts.outcomes, counts.width
     try:
         quasi = np.linalg.solve(_restricted_matrix(confusion, width, values), freq)
     except np.linalg.LinAlgError:
@@ -110,7 +109,7 @@ def mitigate_counts(counts: Counts, confusion: ConfusionSet) -> dict[str, float]
     if total <= 0.0:
         raise ValueError("mitigation collapsed every outcome to zero")
     clipped /= total
-    return {b: float(p) for b, p in zip(observed, clipped) if p > 0.0}
+    return clipped
 
 
 def _restricted_matrix(confusion: ConfusionSet, width: int, values: np.ndarray):
@@ -164,8 +163,8 @@ def expectation_error_study(
     raw_errs, fixed_errs = [], []
     for t in range(trials):
         counts = sample(circuit, shots, seed + t, noise)
-        raw = _z_expectation(counts.frequencies(), observable_qubit)
-        fixed = _z_expectation(mitigate_counts(counts, confusion), observable_qubit)
+        raw = _z_expectation(counts, counts.tallies / counts.shots, observable_qubit)
+        fixed = _z_expectation(counts, mitigate_counts(counts, confusion), observable_qubit)
         raw_errs.append(abs(raw - truth))
         fixed_errs.append(abs(fixed - truth))
         wins += abs(fixed - truth) <= abs(raw - truth)
@@ -177,8 +176,9 @@ def expectation_error_study(
     }
 
 
-def _z_expectation(freqs: dict[str, float], qubit: int) -> float:
+def _z_expectation(counts: Counts, freqs: np.ndarray, qubit: int) -> float:
+    """Left-to-right signed sum of ``freqs`` over ascending ``counts.outcomes``."""
     val = 0.0
-    for f, v in zip(freqs.values(), _bitstring_values(freqs).tolist()):
-        val += -f if (v >> qubit) & 1 else f
+    for f, bit in zip(freqs.tolist(), ((counts.outcomes >> qubit) & 1).tolist()):
+        val += -f if bit else f
     return val

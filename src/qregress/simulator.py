@@ -1,8 +1,9 @@
 """Dense statevector simulation, sampling, noise and loss estimation.
 
 States are little-endian complex vectors of length 2**width.  Sampled
-bitstrings are printed most-significant qubit first, so qubit 0 is the
-rightmost character.
+outcomes are integer indices (qubit q is bit q) from the sampler to the
+loss; bitstrings, printed most-significant qubit first so qubit 0 is the
+rightmost character, exist only in the ``Counts.counts`` view and in JSON.
 
 ``simulate`` applies a circuit built from uniformly controlled blocks (the
 optimized regression circuit) one block at a time, as a Hadamard layer, a
@@ -13,7 +14,11 @@ circuit runs gate by gate, and noisy sampling reads the lowered gates.
 Noise follows a trajectory model: after each gate a Pauli fault fires with
 the configured probability and flipped readout bits are applied at
 measurement; shots sharing a fault pattern are simulated once and sampled
-together, which is exactly per-shot sampling done in groups.
+together, which is exactly per-shot sampling done in groups.  Patterns are
+replayed one fault depth at a time: the patterns whose d-th fault follows
+the same gate move as one block of states, rewound from their final state
+to that gate, faulted and run to the end again, by dense suffix operators
+while they fit a byte budget and gate by gate past it.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -205,26 +211,45 @@ def default_noise(width: int) -> NoiseModel:
 
 # --- counts ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counts:
-    """Sampled measurement outcomes: bitstring (MSB first) -> shots."""
+    """Sampled measurement outcomes: the distinct outcome indices in
+    ascending order (qubit q is bit q) and the shots that read each."""
 
-    counts: dict[str, int]
+    outcomes: np.ndarray
+    tallies: np.ndarray
     shots: int
-    seed: int | None = None
-    width: int = 0
+    seed: int | None
+    width: int
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        if int(self.tallies.sum()) != self.shots:
             raise ValueError("counts must sum to the shot total")
 
-    def frequencies(self) -> dict[str, float]:
-        return {k: v / self.shots for k, v in self.counts.items()}
+    @classmethod
+    def from_bitstrings(
+        cls, counts: dict[str, int], shots: int, seed: int | None = None, width: int = 0
+    ) -> "Counts":
+        """Build from a bitstring (MSB first) -> shots dict; a zero ``width``
+        is read from the key length.  The one place bitstrings are parsed."""
+        width = width or len(next(iter(counts), ""))
+        for key, n in counts.items():
+            if len(key) != width or key.strip("01") or type(n) is not int or n < 0:
+                raise ValueError(f"bad {width}-bit counts entry {key!r}: {n!r}")
+        pairs = sorted((int(key, 2), n) for key, n in counts.items())
+        outcomes, tallies = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return cls(outcomes, tallies, shots, seed, width)
+
+    @functools.cached_property
+    def counts(self) -> MappingProxyType:
+        """Read-only bitstring (MSB first) -> shots view, in outcome order."""
+        pairs = zip(self.outcomes.tolist(), self.tallies.tolist())
+        return MappingProxyType({_bitstring(v, self.width): t for v, t in pairs})
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(
             {
-                "counts": dict(sorted(self.counts.items())),
+                "counts": dict(self.counts),
                 "shots": self.shots,
                 "seed": self.seed,
                 "width": self.width,
@@ -237,20 +262,9 @@ def _bitstring(index: int, width: int) -> str:
     return format(index, f"0{width}b")
 
 
-def _bitstring_values(bitstrings) -> np.ndarray:
-    """Outcome indices of MSB-first bitstrings, in iteration order; the
-    inverse of ``_bitstring`` and the one place counts keys are parsed."""
-    return np.array([int(bs, 2) for bs in bitstrings], dtype=np.int64)
-
-
 def _counts_from_indices(indices: np.ndarray, width: int, shots: int, seed) -> Counts:
-    values, reps = np.unique(indices, return_counts=True)
-    return Counts(
-        {_bitstring(int(v), width): int(c) for v, c in zip(values, reps)},
-        shots,
-        seed,
-        width,
-    )
+    outcomes, tallies = np.unique(indices, return_counts=True)
+    return Counts(outcomes, tallies, shots, seed, width)
 
 
 # --- trajectory sampling ------------------------------------------------------
@@ -320,14 +334,14 @@ def _inverse_gate(g):
 
 
 class _SegmentCache:
-    """Prefix states plus dagger-suffix operators for fast fault replay.
+    """Prefix states plus dagger-suffix operators for fault replay.
 
     ``dagger[i]`` is the adjoint of the product of gates i..end, built by
-    applying inverse gates to an identity batch, so inserting a fault after
-    gate i costs a couple of matrix-vector products instead of a fresh
-    simulation.  The G + 1 dense operators are kept only while they fit
-    ``_DENSE_SUFFIX_BYTES``; otherwise ``dense`` is False and every
-    pattern is replayed gate by gate from its first fault.
+    applying inverse gates to an identity batch, so running a block of
+    states from gate i to the end, or rewinding it back to gate i, is one
+    matrix product.  The G + 1 dense operators are kept only while they fit
+    ``_DENSE_SUFFIX_BYTES``; otherwise ``dense`` is False and both moves
+    replay the gates one by one.
     """
 
     def __init__(self, circuit: Circuit):
@@ -351,38 +365,23 @@ class _SegmentCache:
             daggers.reverse()  # dagger[i] = (gates i..n-1)^dagger
             self.dagger = daggers
 
-    def _suffix_apply(self, i: int, state: np.ndarray) -> np.ndarray:
-        """Apply gates i..end: S_i v = (v^H D_i)^H with D_i = S_i^dagger."""
-        return np.conj(np.conj(state) @ self.dagger[i])
-
-    def final_state(self, pattern) -> np.ndarray:
-        if not pattern:
-            return self.prefix[-1]
-        order = sorted(pattern)
-        first_gate, first_code = order[0]
-        state = _apply_fault(
-            self.prefix[first_gate + 1].copy(),
-            self.circuit.gates[first_gate],
-            first_code,
-            self.width,
-        )
-        pos = first_gate + 1
+    def run_to_end(self, i: int, block: np.ndarray) -> np.ndarray:
+        """Apply gates i..end to each row: S_i v = (v^H D_i)^H with D_i = S_i^dagger."""
         if self.dense:
-            state = self._suffix_apply(pos, state)
-            for gi, code in order[1:]:
-                # undo the tail back to gi+1, insert the fault, replay
-                state = self.dagger[gi + 1] @ state
-                state = _apply_fault(state, self.circuit.gates[gi], code, self.width)
-                state = self._suffix_apply(gi + 1, state)
-            return state
-        for gi, code in order[1:]:
-            for g in self.circuit.gates[pos : gi + 1]:
-                state = apply_gate(state, g, self.width)
-            state = _apply_fault(state, self.circuit.gates[gi], code, self.width)
-            pos = gi + 1
-        for g in self.circuit.gates[pos:]:
-            state = apply_gate(state, g, self.width)
-        return state
+            return np.conj(np.conj(block) @ self.dagger[i])
+        return self._replay(self.circuit.gates[i:], block)
+
+    def rewind(self, i: int, block: np.ndarray) -> np.ndarray:
+        """Undo gates i..end on each row: D_i v, taken row-wise as v D_i^T."""
+        if self.dense:
+            return block @ self.dagger[i].T
+        return self._replay([_inverse_gate(g) for g in reversed(self.circuit.gates[i:])], block)
+
+    def _replay(self, gates, block: np.ndarray) -> np.ndarray:
+        cols = block.T  # apply_gate reads the basis index from the first axis
+        for g in gates:
+            cols = apply_gate(cols, g, self.width)
+        return cols.T
 
 
 def _apply_readout_flips(indices: np.ndarray, width: int, readout: np.ndarray, rng):
@@ -398,62 +397,28 @@ def _apply_readout_flips(indices: np.ndarray, width: int, readout: np.ndarray, r
 
 
 def _pattern_states(cache: _SegmentCache, keys: list[tuple]) -> np.ndarray:
-    """Final states for every fault pattern.
+    """Final states for every fault pattern, replayed one fault depth at a time.
 
-    One- and two-fault patterns (the bulk of the draw) are batched per
-    insertion position so every tail replay runs as one matrix product;
-    rarer deep patterns take the serial path.
+    At depth d, the rows whose d-th fault follows gate g move as one block:
+    they start from the prefix state after g (d = 0) or are rewound from
+    their final state to just after g, take their d-th faults (each distinct
+    code once) and run to the end.  Clean rows keep the noiseless final state.
     """
-    dim = 2**cache.width
-    states = np.empty((len(keys), dim), dtype=complex)
-    singles: dict[int, list[int]] = {}
-    doubles: dict[int, list[int]] = {}
-    for row, key in enumerate(keys):
-        if not key:
-            states[row] = cache.prefix[-1]
-        elif len(key) == 1 and cache.dense:
-            singles.setdefault(key[0][0], []).append(row)
-        elif len(key) == 2 and cache.dense:
-            doubles.setdefault(key[0][0], []).append(row)
-        else:
-            states[row] = cache.final_state(key)
-
-    def faulted_prefix(rows: list[int], gi: int) -> np.ndarray:
-        """Prefix state after gate gi with each row's first fault inserted;
-        each distinct fault code is applied once."""
-        gate = cache.circuit.gates[gi]
-        codes = [keys[row][0][1] for row in rows]
-        faulted = {
-            code: _apply_fault(cache.prefix[gi + 1], gate, code, cache.width)
-            for code in set(codes)
-        }
-        return np.stack([faulted[code] for code in codes])
-
-    for gi, rows in singles.items():
-        block = faulted_prefix(rows, gi)
-        states[rows] = np.conj(np.conj(block) @ cache.dagger[gi + 1])
-
-    # two-fault replay in three batched hops: evolve past the first fault,
-    # rewind to the second site, insert, replay the tail
-    evolved: dict[int, np.ndarray] = {}
-    for gi, rows in doubles.items():
-        block = faulted_prefix(rows, gi)
-        full = np.conj(np.conj(block) @ cache.dagger[gi + 1])
-        for b, row in enumerate(rows):
-            evolved[row] = full[b]
-    by_second: dict[int, list[int]] = {}
-    for rows in doubles.values():
-        for row in rows:
-            by_second.setdefault(keys[row][1][0], []).append(row)
-    for gj, rows in by_second.items():
-        gate = cache.circuit.gates[gj]
-        dag = cache.dagger[gj + 1]
-        block = np.stack([evolved[row] for row in rows]) @ dag.T
-        codes = np.array([keys[row][1][1] for row in rows])
-        for code in np.unique(codes).tolist():
-            hit = codes == code
-            block[hit] = _apply_fault(block[hit], gate, code, cache.width)
-        states[rows] = np.conj(np.conj(block) @ dag)
+    states = np.tile(cache.prefix[-1], (len(keys), 1))
+    for d in range(max(map(len, keys), default=0)):
+        groups: dict[int, list[int]] = {}
+        for row, key in enumerate(keys):
+            if len(key) > d:
+                groups.setdefault(key[d][0], []).append(row)
+        for g, rows in groups.items():
+            gate = cache.circuit.gates[g]
+            codes = np.array([keys[row][d][1] for row in rows])
+            base = cache.prefix[g + 1][None] if d == 0 else cache.rewind(g + 1, states[rows])
+            block = np.empty((len(rows), states.shape[1]), dtype=complex)
+            for code in np.unique(codes).tolist():
+                hit = codes == code
+                block[hit] = _apply_fault(base if d == 0 else base[hit], gate, code, cache.width)
+            states[rows] = cache.run_to_end(g + 1, block)
     return states
 
 
@@ -518,8 +483,7 @@ def expectation_mhat(source, layout: RegisterLayout) -> float:
     scale = float(layout.m_pad)
     col_mask = sum(1 << q for q in layout.column_qubits)
     if isinstance(source, Counts):
-        values = _bitstring_values(source.counts)
-        good = int(np.dot((values & col_mask) == 0, list(source.counts.values())))
+        good = int(np.dot((source.outcomes & col_mask) == 0, source.tallies))
         return scale * good / source.shots
     state = np.asarray(source)
     if state.shape[0] != 2**layout.width:
@@ -549,23 +513,21 @@ def _selection_masks(layout: RegisterLayout):
 def _loss_from_counts(counts: Counts, layout: RegisterLayout, confusion) -> LossEstimate:
     anc1_bit, anc2_bit, col_mask = _selection_masks(layout)
     constant = float(layout.k_pad * layout.m_pad)
-    values = _bitstring_values(counts.counts)
-    tallies = list(counts.counts.values())
+    values = counts.outcomes
     anc1 = (values & anc1_bit) != 0
-    anc1_hits = int(np.dot(anc1, tallies))
-    surviving = int(np.dot(anc1 & ((values & anc2_bit) == 0), tallies))
+    anc1_hits = int(np.dot(anc1, counts.tallies))
+    surviving = int(np.dot(anc1 & ((values & anc2_bit) == 0), counts.tallies))
     if surviving == 0:
         raise EstimatorStarvedError("no shots survived the ancilla post-selection")
     if confusion is not None:
         from .mitigation import mitigate_counts
 
         freqs = mitigate_counts(counts, confusion)
-        values = _bitstring_values(freqs)
     else:
-        freqs = counts.frequencies()
-    selected = ((values & anc1_bit) != 0) & ((values & (anc2_bit | col_mask)) == 0)
-    # a plain left-to-right float sum in dict order
-    joint = sum(f for f, keep in zip(freqs.values(), selected.tolist()) if keep)
+        freqs = counts.tallies / counts.shots
+    selected = anc1 & ((values & (anc2_bit | col_mask)) == 0)
+    # a plain left-to-right float sum over ascending outcomes
+    joint = sum(freqs[selected].tolist())
     return LossEstimate(
         loss=constant * joint,
         success_probability=anc1_hits / counts.shots,

@@ -1,10 +1,16 @@
 """The benchmark's tracer wraps package functions by the attribute their
 callers look up.  A refactor that moves one of those names must fail here,
 not in the benchmark run."""
+import collections
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+import qregress as q
+from qregress import simulator
+from qregress.mitigation import ConfusionSet, mitigate_counts
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +36,20 @@ def test_span_hook_resolves(owner, attr):
 @pytest.mark.parametrize("attr", ["_sample_indices", "apply_gate"])
 def test_simulator_seam_resolves(attr):
     assert callable(tracer._resolve("qregress.simulator").__dict__[attr])
+
+
+def test_observe_mitigate_reads_a_sampled_counts():
+    # the traced benchmark's solve counters come from the Counts that
+    # mitigate_counts receives: one outcome per distinct observed index
+    circ = q.new_circuit(4)
+    for gate in (q.h(0), q.cnot(0, 1), q.rx(2, 0.7), q.cnot(2, 3)):
+        circ = circ.append(gate)
+    noise = q.NoiseModel(p1=0.02, p2=0.05, readout=((0.03, 0.02),) * 4)
+    counts = q.sample(circ, 500, seed=12, noise=noise)
+    n = np.unique(simulator._sample_indices(circ, 500, 12, noise)).size
+    confusion = ConfusionSet.from_flip_rates(noise.readout)
+    seen = collections.defaultdict(float)
+    tracer._observe_mitigate(seen, (counts, confusion), {}, mitigate_counts(counts, confusion))
+    assert seen["mitigation.solves"] == 1
+    assert seen["mitigation.outcomes"] == n
+    assert seen["mitigation.matrix_entries"] == n * n * circ.width

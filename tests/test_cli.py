@@ -130,6 +130,24 @@ class TestPrepare:
         circ = q.circuit_from_json(circ_out.read_text())
         assert circ.gates == q.build_state_prep([0.5, -0.25, 0.75])[0].gates
 
+    @pytest.mark.parametrize(
+        "payload",
+        [["0.5", True, 1], {"a": 1}, [[0.5, 1], [2, 3]]],
+        ids=["string-and-bool-entries", "object", "nested-lists"],
+    )
+    def test_vector_file_must_be_flat_numbers(self, tmp_path, payload):
+        vec = tmp_path / "vec.json"
+        vec.write_text(json.dumps(payload))
+        assert run_cli(["prepare", str(vec), "--out", str(tmp_path / "r.json")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vec.json"]
+
+    def test_whitespace_separated_vector(self, tmp_path):
+        vec = tmp_path / "vec.txt"
+        vec.write_text("0.5 -0.25\n0.75\n")
+        out = tmp_path / "r.json"
+        assert run_cli(["prepare", str(vec), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["input_length"] == 3
+
 
 class TestOptimize:
     def test_small_encoder_file(self, tmp_path, rng):
@@ -276,6 +294,18 @@ class TestTrain:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["iters"] == 0 and report["config"]["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"iters": 2.7}, {"iter": 3}],
+        ids=["non-integer-iters", "unknown-key"],
+    )
+    def test_bad_config_file_is_input_error(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": "16x1", **values}))
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(cfg), "--exact", "--out", str(out)]) == 2
+        assert not (out / "layout.json").exists()
 
     def test_exact_training_improves_r2(self, tmp_path):
         out = tmp_path / "run"

@@ -96,4 +96,4 @@ def test_sample_counts_and_mitigated_quasi_probabilities():
     counts = q.sample(circ, 3000, seed=424242, noise=noise)
     assert counts.counts == GOLDEN_SAMPLE_COUNTS
     confusion = ConfusionSet.from_flip_rates(noise.readout)
-    assert mitigate_counts(counts, confusion) == GOLDEN_MITIGATED
+    assert dict(zip(counts.counts, mitigate_counts(counts, confusion).tolist())) == GOLDEN_MITIGATED

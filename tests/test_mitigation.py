@@ -49,26 +49,26 @@ class TestCalibration:
 
 class TestMitigateCounts:
     def test_identity_confusion_returns_frequencies(self):
-        counts = Counts({"01": 600, "10": 400}, 1000, None, 2)
-        out = mitigate_counts(counts, ConfusionSet.identity(2))
+        counts = Counts.from_bitstrings({"01": 600, "10": 400}, 1000, None, 2)
+        out = dict(zip(counts.counts, mitigate_counts(counts, ConfusionSet.identity(2)).tolist()))
         assert out == {"01": 0.6, "10": 0.4}
 
     def test_single_qubit_hand_inverse(self):
-        counts = Counts({"0": 980, "1": 20}, 1000, None, 1)
+        counts = Counts.from_bitstrings({"0": 980, "1": 20}, 1000, None, 1)
         conf = ConfusionSet.from_flip_rates([(0.02, 0.02)])
-        out = mitigate_counts(counts, conf)
+        out = dict(zip(counts.counts, mitigate_counts(counts, conf).tolist()))
         assert abs(out.get("0", 0.0) - 1.0) <= 0.01
 
     def test_quasi_probabilities_sum_to_one(self):
-        counts = Counts({"00": 500, "01": 300, "11": 200}, 1000, None, 2)
+        counts = Counts.from_bitstrings({"00": 500, "01": 300, "11": 200}, 1000, None, 2)
         conf = ConfusionSet.from_flip_rates([(0.03, 0.02), (0.01, 0.04)])
-        out = mitigate_counts(counts, conf)
+        out = dict(zip(counts.counts, mitigate_counts(counts, conf).tolist()))
         assert abs(sum(out.values()) - 1.0) <= 1e-12
         assert all(v >= 0.0 for v in out.values())
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
-            mitigate_counts(Counts({}, 0, None, 1), ConfusionSet.identity(1))
+            mitigate_counts(Counts.from_bitstrings({}, 0, None, 1), ConfusionSet.identity(1))
 
     def test_restricted_matrix_matches_per_entry_loop(self, rng):
         for width in range(1, 9):
@@ -85,7 +85,7 @@ class TestMitigateCounts:
         # qubit 0 always flips: the restricted matrix over 00, 01, 10 has
         # proportional rows 00 and 10, while the full 4x4 confusion inverts
         conf = ConfusionSet.from_flip_rates([(1.0, 1.0), (0.1, 0.1)])
-        counts = Counts({"00": 500, "01": 300, "10": 200}, 1000, None, 2)
+        counts = Counts.from_bitstrings({"00": 500, "01": 300, "10": 200}, 1000, None, 2)
         calls = []
         original = mitigation._full_inverse
 
@@ -94,7 +94,7 @@ class TestMitigateCounts:
             return calls[-1]
 
         monkeypatch.setattr(mitigation, "_full_inverse", spy)
-        out = mitigate_counts(counts, conf)
+        out = dict(zip(counts.counts, mitigate_counts(counts, conf).tolist()))
         assert len(calls) == 1
         dense = np.kron(conf.matrices[1], conf.matrices[0])  # index = 2*b1 + b0
         freq = np.array([0.5, 0.3, 0.2, 0.0])

@@ -212,7 +212,7 @@ class TestExpectationMhat:
 
     def test_counts_source(self):
         layout = q.layout_for(2, 1)
-        counts = q.Counts({"00000": 600, "00001": 400}, 1000, None, layout.width)
+        counts = q.Counts.from_bitstrings({"0000": 600, "0001": 400}, 1000, None, layout.width)
         assert abs(q.expectation_mhat(counts, layout) - 2 * 0.6) <= 1e-12
 
 
@@ -344,11 +344,18 @@ class TestNoiseModelIO:
             q.NoiseModel(p1=1.5)
 
     def test_counts_json(self):
-        counts = q.Counts({"01": 3, "10": 2}, 5, seed=9, width=2)
+        counts = q.Counts.from_bitstrings({"01": 3, "10": 2}, 5, seed=9, width=2)
         import json
 
         payload = json.loads(counts.to_json())
         assert payload["shots"] == 5 and payload["counts"]["01"] == 3
+
+    @pytest.mark.parametrize(
+        "entries", [{"01": 3, "1": 2}, {"0b": 5}, {"01": 2.5}, {"01": True}, {"01": -1}]
+    )
+    def test_counts_from_bitstrings_rejects_bad_entries(self, entries):
+        with pytest.raises(ValueError, match="counts entry"):
+            q.Counts.from_bitstrings(entries, 5)
 
     def test_short_readout_list_rejected(self):
         # two readout pairs for a width-3 circuit: no silent perfect readout
