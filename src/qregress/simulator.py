@@ -15,10 +15,10 @@ Noise follows a trajectory model: after each gate a Pauli fault fires with
 the configured probability and flipped readout bits are applied at
 measurement; shots sharing a fault pattern are simulated once and sampled
 together, which is exactly per-shot sampling done in groups.  Patterns are
-replayed one fault depth at a time: the patterns whose d-th fault follows
-the same gate move as one block of states, rewound from their final state
-to that gate, faulted and run to the end again, by dense suffix operators
-while they fit a byte budget and gate by gate past it.
+replayed in one forward sweep over the gates (``_pattern_states``): many
+faulted patterns are kept as final states and faulted through one running
+adjoint of the remaining gates, few are carried through every gate as one
+block.
 """
 from __future__ import annotations
 
@@ -36,8 +36,6 @@ from .data import RegisterLayout
 from .errors import CapacityError, DegenerateProjectionError, EstimatorStarvedError
 
 _SIMULATE_WIDTH_LIMIT = 24
-_DENSE_SUFFIX_LIMIT = 8  # precompute suffix operators up to 2**8 x 2**8
-_DENSE_SUFFIX_BYTES = 256 * 2**20  # ... while all G + 1 of them fit in these bytes
 
 DEFAULT_P1 = 0.0011
 DEFAULT_P2 = 0.0077
@@ -333,57 +331,6 @@ def _inverse_gate(g):
     return g  # x, h, cnot are self-inverse
 
 
-class _SegmentCache:
-    """Prefix states plus dagger-suffix operators for fault replay.
-
-    ``dagger[i]`` is the adjoint of the product of gates i..end, built by
-    applying inverse gates to an identity batch, so running a block of
-    states from gate i to the end, or rewinding it back to gate i, is one
-    matrix product.  The G + 1 dense operators are kept only while they fit
-    ``_DENSE_SUFFIX_BYTES``; otherwise ``dense`` is False and both moves
-    replay the gates one by one.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.width = circuit.width
-        dim = 2**circuit.width
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-        self.prefix = [state]
-        for g in circuit.gates:
-            state = apply_gate(state, g, circuit.width)
-            self.prefix.append(state)
-        self.dense = (
-            circuit.width <= _DENSE_SUFFIX_LIMIT
-            and (len(circuit) + 1) * dim * dim * 16 <= _DENSE_SUFFIX_BYTES
-        )
-        if self.dense:
-            daggers = [np.eye(dim, dtype=complex)]
-            for g in reversed(circuit.gates):
-                daggers.append(apply_gate(daggers[-1], _inverse_gate(g), circuit.width))
-            daggers.reverse()  # dagger[i] = (gates i..n-1)^dagger
-            self.dagger = daggers
-
-    def run_to_end(self, i: int, block: np.ndarray) -> np.ndarray:
-        """Apply gates i..end to each row: S_i v = (v^H D_i)^H with D_i = S_i^dagger."""
-        if self.dense:
-            return np.conj(np.conj(block) @ self.dagger[i])
-        return self._replay(self.circuit.gates[i:], block)
-
-    def rewind(self, i: int, block: np.ndarray) -> np.ndarray:
-        """Undo gates i..end on each row: D_i v, taken row-wise as v D_i^T."""
-        if self.dense:
-            return block @ self.dagger[i].T
-        return self._replay([_inverse_gate(g) for g in reversed(self.circuit.gates[i:])], block)
-
-    def _replay(self, gates, block: np.ndarray) -> np.ndarray:
-        cols = block.T  # apply_gate reads the basis index from the first axis
-        for g in gates:
-            cols = apply_gate(cols, g, self.width)
-        return cols.T
-
-
 def _apply_readout_flips(indices: np.ndarray, width: int, readout: np.ndarray, rng):
     for q in range(width):
         p10, p01 = readout[q]
@@ -396,36 +343,77 @@ def _apply_readout_flips(indices: np.ndarray, width: int, readout: np.ndarray, r
     return indices
 
 
-def _pattern_states(cache: _SegmentCache, keys: list[tuple]) -> np.ndarray:
-    """Final states for every fault pattern, replayed one fault depth at a time.
+def _pattern_states(circuit: Circuit, keys: list[tuple]) -> np.ndarray:
+    """Final states for every fault pattern, in one forward sweep over the gates.
 
-    At depth d, the rows whose d-th fault follows gate g move as one block:
-    they start from the prefix state after g (d = 0) or are rewound from
-    their final state to just after g, take their d-th faults (each distinct
-    code once) and run to the end.  Clean rows keep the noiseless final state.
+    The sweep advances the noiseless state, and each pattern's row is born
+    at its first fault as a faulted copy of it.  With more than 2 * 2**width
+    faulted rows, the rows are kept as final states and the sweep carries
+    one adjoint A = (gates g+1..end)^dagger: a fault after gate g rewinds its
+    row by A, applies the Pauli and runs it to the end by A^dagger, all rows
+    hit at g in one matrix product.  Fewer rows take every gate as one block
+    instead: carrying R rows costs G * R * 2**width amplitude updates, less
+    than the adjoint's build and sweep (2 * G * 4**width) exactly when
+    R <= 2 * 2**width, and past that A is under half the size of the rows.
     """
-    states = np.tile(cache.prefix[-1], (len(keys), 1))
-    for d in range(max(map(len, keys), default=0)):
-        groups: dict[int, list[int]] = {}
-        for row, key in enumerate(keys):
-            if len(key) > d:
-                groups.setdefault(key[d][0], []).append(row)
-        for g, rows in groups.items():
-            gate = cache.circuit.gates[g]
-            codes = np.array([keys[row][d][1] for row in rows])
-            base = cache.prefix[g + 1][None] if d == 0 else cache.rewind(g + 1, states[rows])
-            block = np.empty((len(rows), states.shape[1]), dtype=complex)
-            for code in np.unique(codes).tolist():
-                hit = codes == code
-                block[hit] = _apply_fault(base if d == 0 else base[hit], gate, code, cache.width)
-            states[rows] = cache.run_to_end(g + 1, block)
+    width, gates = circuit.width, circuit.gates
+    dim = 2**width
+    hits: dict[int, list[tuple[int, int, bool]]] = {}
+    for row, key in enumerate(keys):
+        for depth, (g, code) in enumerate(key):
+            hits.setdefault(g, []).append((row, code, depth == 0))
+    clean = sum(not key for key in keys)  # () sorts first
+    dense = len(keys) - clean > 2 * dim
+    state = np.zeros(dim, dtype=complex)
+    state[0] = 1.0
+    states = np.empty((len(keys), dim), dtype=complex)
+    if dense:
+        adj = np.eye(dim, dtype=complex)
+        for gate in reversed(gates):
+            adj = apply_gate(adj, _inverse_gate(gate), width)
+    else:
+        carried = np.empty((dim, 0), dtype=complex)  # one column per born row
+    for g, gate in enumerate(gates):
+        state = apply_gate(state, gate, width)
+        if dense:
+            adj = apply_gate(adj, gate, width)
+        elif carried.shape[1]:
+            carried = apply_gate(carried, gate, width)
+        if g not in hits:
+            continue
+        rows, codes, born = map(np.array, zip(*hits[g]))
+        if dense:
+            base = np.empty((rows.size, dim), dtype=complex)
+            base[born] = state
+            base[~born] = states[rows[~born]] @ adj.T
+            states[rows] = np.conj(np.conj(_apply_faults(base, gate, codes, width)) @ adj)
+        else:
+            born_cols = np.broadcast_to(state[:, None], (dim, int(born.sum())))
+            carried = np.concatenate([carried, born_cols], axis=1)
+            cols = rows - clean
+            carried[:, cols] = _apply_faults(carried[:, cols].T, gate, codes, width).T
+    states[:clean] = state
+    if not dense:
+        states[clean:] = carried.T
     return states
+
+
+def _apply_faults(block: np.ndarray, gate, codes: np.ndarray, width: int) -> np.ndarray:
+    """Each row of ``block`` with its own fault after ``gate``, each distinct
+    code applied once."""
+    out = np.empty_like(block)
+    for code in np.unique(codes).tolist():
+        hit = codes == code
+        out[hit] = _apply_fault(block[hit], gate, code, width)
+    return out
 
 
 def _sample_indices(
     circuit: Circuit, shots: int, seed, noise: NoiseModel | None
 ) -> np.ndarray:
     """Shuffled per-shot outcome indices; the building block of sampling."""
+    if circuit.width > _SIMULATE_WIDTH_LIMIT:
+        raise CapacityError(f"sampling supports width <= {_SIMULATE_WIDTH_LIMIT}")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
@@ -439,10 +427,9 @@ def _sample_indices(
 
     readout = noise.readout_for(width)
     patterns = _sample_fault_patterns(circuit, shots, noise, rng)
-    cache = _SegmentCache(circuit)
     keys = sorted(patterns)
     mults = np.array([patterns[k] for k in keys])
-    states = _pattern_states(cache, keys)
+    states = _pattern_states(circuit, keys)
     probs = np.abs(states) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     chunks = []

@@ -1,16 +1,16 @@
-"""The depth-by-depth fault replay and the index-array outcome scoring
-against the implementations they replaced.
+"""The one-sweep fault replay and the index-array outcome scoring against
+the implementations they replaced.
 
 The reference classes and functions below are the earlier per-length fault
 replay (a batched single-fault path, a batched two-fault path and a serial
 path for deeper patterns or past the byte budget) and the earlier
 bitstring-keyed ``Counts`` scoring, kept verbatim except for the names
-they call: the budget constants are read from the live ``simulator``
-module, so one monkeypatch sets both sides, and the reference loss calls
-the reference ``mitigate_counts``.  Final states may move in the last
-bits (the blocks handed to each matrix product are grouped differently),
-so they are compared to 1e-12.  Scoring keeps every float sum in its left-to-right
-order over ascending outcomes, so estimates are compared with ``==``.
+they call: the budget constants that chose its path live in this module,
+and the reference loss calls the reference ``mitigate_counts``.  Final
+states may move in the last bits (the sweep groups each matrix product's
+rows differently and carries few rows gate by gate), so they are compared
+to 1e-12.  Scoring keeps every float sum in its left-to-right order over
+ascending outcomes, so estimates are compared with ``==``.
 """
 from collections import defaultdict
 from dataclasses import dataclass
@@ -30,6 +30,10 @@ from conftest import random_circuit
 
 
 # --- references ----------------------------------------------------------------
+
+_DENSE_SUFFIX_LIMIT = 8  # precompute suffix operators up to 2**8 x 2**8
+_DENSE_SUFFIX_BYTES = 256 * 2**20  # ... while all G + 1 of them fit in these bytes
+
 
 @dataclass(frozen=True)
 class _RefCounts:
@@ -78,8 +82,8 @@ class _RefSegmentCache:
             state = apply_gate(state, g, circuit.width)
             self.prefix.append(state)
         self.dense = (
-            circuit.width <= simulator._DENSE_SUFFIX_LIMIT
-            and (len(circuit) + 1) * dim * dim * 16 <= simulator._DENSE_SUFFIX_BYTES
+            circuit.width <= _DENSE_SUFFIX_LIMIT
+            and (len(circuit) + 1) * dim * dim * 16 <= _DENSE_SUFFIX_BYTES
         )
         if self.dense:
             daggers = [np.eye(dim, dtype=complex)]
@@ -276,22 +280,23 @@ def _ref_study(circuit, noise, qubit, shots, trials, seed) -> dict[str, float]:
 
 # --- fault replay ----------------------------------------------------------------
 
-@pytest.mark.parametrize("budget", ["dense", "gates"])
+@pytest.mark.parametrize("side", ["carried", "dense"])
 @pytest.mark.parametrize("width", range(2, 9))
-def test_pattern_states_match_reference(width, budget, monkeypatch):
-    if budget == "gates":
-        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", 0)
+def test_pattern_states_match_reference(width, side):
+    """At most 2 * 2**width shots leave few enough faulted rows to carry;
+    8 * 2**width shots at these rates fault more than that many."""
+    dim = 2**width
+    shots = 2 * dim if side == "carried" else 8 * dim
     rng = np.random.default_rng(700 + width)
     noise = q.NoiseModel(p1=0.08, p2=0.15)
     for _ in range(2):
         circ = random_circuit(width, int(rng.integers(15, 50)), rng)
         keys = sorted(
-            simulator._sample_fault_patterns(circ, 300, noise, np.random.default_rng(width))
+            simulator._sample_fault_patterns(circ, shots, noise, np.random.default_rng(width))
         )
         assert max(len(k) for k in keys) >= 3
-        cache = simulator._SegmentCache(circ)
-        assert cache.dense == (budget == "dense")
-        states = simulator._pattern_states(cache, keys)
+        assert (sum(map(bool, keys)) > 2 * dim) == (side == "dense")
+        states = simulator._pattern_states(circ, keys)
         reference = _ref_pattern_states(_RefSegmentCache(circ), keys)
         assert np.abs(states - reference).max() <= 1e-12
 

@@ -138,51 +138,92 @@ class TestSample:
         assert sum(counts.counts.values()) == 5000
 
 
-class TestDenseSuffixBudget:
-    """The dense suffix cache holds G + 1 operators of 4**w * 16 bytes; past
-    ``_DENSE_SUFFIX_BYTES`` sampling replays faults gate by gate instead."""
+class TestFaultSweep:
+    """Fault patterns are replayed in one forward sweep: more than
+    2 * 2**width faulted rows are kept as final states and faulted through
+    one swept adjoint, fewer are carried through every gate as one block."""
 
-    def test_budget_boundary(self, rng, monkeypatch):
+    @staticmethod
+    def _counting_apply_gate(monkeypatch):
         from qregress import simulator
 
-        c = random_circuit(3, 10, rng)
-        need = (len(c) + 1) * 4**3 * 16
-        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", need)
-        assert simulator._SegmentCache(c).dense
-        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", need - 1)
-        cache = simulator._SegmentCache(c)
-        assert not cache.dense and not hasattr(cache, "dagger")
+        calls = []
+        apply_gate = simulator.apply_gate
 
-    def test_long_width8_circuit_samples_serially(self, rng, monkeypatch):
-        from qregress import simulator
+        def spy(state, gate, width):
+            calls.append(state.shape)
+            return apply_gate(state, gate, width)
 
-        c = random_circuit(8, 300, rng)
-        assert (len(c) + 1) * 4**8 * 16 > simulator._DENSE_SUFFIX_BYTES
-        built = []
+        monkeypatch.setattr(simulator, "apply_gate", spy)
+        return calls
 
-        class Spy(simulator._SegmentCache):
-            def __init__(self, circuit):
-                super().__init__(circuit)
-                built.append(self)
-
-        monkeypatch.setattr(simulator, "_SegmentCache", Spy)
-        counts = q.sample(c, 40, seed=4, noise=q.NoiseModel(p1=0.05, p2=0.05))
-        assert sum(counts.counts.values()) == 40
-        assert len(built) == 1 and not built[0].dense
-
-    def test_serial_replay_matches_dense(self, rng, monkeypatch):
+    def test_sides_agree_and_follow_the_rule(self, rng, monkeypatch):
         from qregress import simulator
 
         c = random_circuit(4, 30, rng)
         noise = q.NoiseModel(p1=0.1, p2=0.2)
         keys = sorted(simulator._sample_fault_patterns(c, 400, noise, np.random.default_rng(5)))
-        assert max(len(k) for k in keys) >= 3
-        dense = simulator._pattern_states(simulator._SegmentCache(c), keys)
-        monkeypatch.setattr(simulator, "_DENSE_SUFFIX_BYTES", 0)
-        cache = simulator._SegmentCache(c)
-        assert not cache.dense
-        serial = simulator._pattern_states(cache, keys)
-        assert np.abs(serial - dense).max() <= 1e-12
+        assert keys[0] == () and max(len(k) for k in keys) >= 3
+        calls = self._counting_apply_gate(monkeypatch)
+        dense = simulator._pattern_states(c, keys)
+        assert len(keys) - 1 > 2 * 2**4 and len(calls) == 3 * len(c)  # state, build, sweep
+        # the same keys, at most 2 * 2**4 faulted rows at a time
+        for a in range(1, len(keys), 2 * 2**4):
+            chunk = [()] + keys[a : a + 2 * 2**4]
+            calls.clear()
+            carried = simulator._pattern_states(c, chunk)
+            assert len(calls) < 2 * len(c)  # state, then the block once rows are born
+            assert np.abs(carried[0] - dense[0]).max() <= 1e-12
+            assert np.abs(carried[1:] - dense[a : a + 2 * 2**4]).max() <= 1e-12
+
+    def test_long_width8_circuit_applies_each_gate_a_few_times(self, monkeypatch):
+        c = random_circuit(8, 300, np.random.default_rng(8300))
+        calls = self._counting_apply_gate(monkeypatch)
+        counts = q.sample(c, 200, seed=4, noise=q.NoiseModel(p1=0.01, p2=0.02))
+        assert counts.tallies.sum() == 200
+        assert len(calls) <= 3 * len(c)
+
+    def test_sample_wide_shape_memory(self):
+        import tracemalloc
+
+        from qregress import simulator
+
+        rng = np.random.default_rng(20)
+        circ, layout = q.build_regression_circuit(
+            random_normalized_table(8, 7, rng), rng.uniform(0.2, 1.2, size=8)
+        )
+        assert (layout.width, len(circ)) == (8, 144)
+        circ.gates  # lowered outside the measurement
+        tracemalloc.start()
+        try:
+            simulator._sample_indices(circ, 20000, 3, q.default_noise(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_noisy_sampling_checks_the_width_first(self, monkeypatch):
+        from qregress import simulator
+        from qregress.errors import CapacityError
+
+        def no_draws(*args):
+            raise AssertionError("faults drawn past the width limit")
+
+        monkeypatch.setattr(simulator, "_SIMULATE_WIDTH_LIMIT", 3)
+        monkeypatch.setattr(simulator, "_sample_fault_patterns", no_draws)
+        c = q.new_circuit(4).append(q.h(0)).append(q.cnot(0, 3))
+        layout = q.layout_for(2, 1)
+        assert layout.width == 4
+        for noise in (
+            None,
+            q.NoiseModel(p1=0.1, p2=0.1),
+            q.NoiseModel(readout=((0.02, 0.02),) * 4),
+        ):
+            with pytest.raises(CapacityError):
+                q.sample(c, 100, seed=1, noise=noise)
+            for estimator in ("xbasis", "shadow"):
+                with pytest.raises(CapacityError):
+                    q.loss_from_run(c, layout, 100, seed=1, noise=noise, estimator=estimator)
 
 
 class TestExpectationMhat:
