@@ -22,7 +22,8 @@ from .errors import CapacityError
 
 GATE_KINDS = ("x", "h", "cnot", "rz", "rx", "mcrz")
 
-_UNITARY_WIDTH_LIMIT = 10
+# unitary_of holds the dense matrix and its working copy: two at width 10
+_UNITARY_BYTES = 2 * 16 * 4**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +143,9 @@ class Circuit:
     _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # the _Block tuple ``gates`` lowers from, or None
     _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # ``simulator._data_slice`` of this circuit, already computed; set only on
+    # the short-lived circuits a trainer evaluator builds for one batch
+    _data_slice: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
@@ -230,11 +234,14 @@ def _trusted_circuit(width: int, gates: tuple[Gate, ...], columns=None) -> Circu
     return _with_columns(circ, columns)
 
 
-def _block_circuit(width: int, blocks) -> Circuit:
-    """A circuit of valid ``blocks`` whose gates are lowered on first read."""
+def _block_circuit(width: int, blocks, data_slice=None) -> Circuit:
+    """A circuit of valid ``blocks`` whose gates are lowered on first read,
+    optionally with its ``simulator._data_slice`` already computed."""
     circ = object.__new__(Circuit)
     object.__setattr__(circ, "width", width)
     object.__setattr__(circ, "_blocks", tuple(blocks))
+    if data_slice is not None:
+        object.__setattr__(circ, "_data_slice", data_slice)
     return circ
 
 
@@ -413,11 +420,15 @@ def apply_gate(state: np.ndarray, gate: Gate, width: int) -> np.ndarray:
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit, gates applied in list order.
 
-    Column j is the image of basis state |j>.  Guarded to width <= 10.
+    Column j is the image of basis state |j>.  The matrix and its working
+    copy must fit ``_UNITARY_BYTES`` (width <= 10), checked before either
+    is allocated.
     """
-    if circuit.width > _UNITARY_WIDTH_LIMIT:
+    need = 2 * 16 * 4**circuit.width
+    if need > _UNITARY_BYTES:
         raise CapacityError(
-            f"unitary_of supports width <= {_UNITARY_WIDTH_LIMIT}, got {circuit.width}"
+            f"unitary_of at width {circuit.width} needs {need} bytes;"
+            f" the budget is {_UNITARY_BYTES}"
         )
     mat = np.eye(2**circuit.width, dtype=complex)
     for g in circuit:

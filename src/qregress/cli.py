@@ -313,11 +313,7 @@ def cmd_train(args) -> int:
                 "weights": weights,
                 "final_phis": fitted.phis.tolist(),
                 "n_circuit_evaluations": fitted.n_circuit_evaluations,
-                "mean_success_probability": (
-                    float(np.mean(fitted.success_probabilities))
-                    if fitted.success_probabilities
-                    else None
-                ),
+                "mean_success_probability": fitted.mean_success_probability,
             }
             if history:
                 entry["train_r2"] = history[-1]["train_r2"]

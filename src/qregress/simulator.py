@@ -11,6 +11,16 @@ diagonal and a Hadamard layer, so exact evaluation never lowers its gates
 (they are lowered only when ``Circuit.gates`` is first read).  Every other
 circuit runs gate by gate, and noisy sampling reads the lowered gates.
 
+The exact loss of a block circuit never applies its last block, the
+coefficient block on the column qubits and anc2.  Post-selection reads 0
+on exactly that block's wires, and the all-zero row of its closing
+Hadamard layer is all ones, so the selected amplitudes are M . t(phi):
+M is the anc1 = 1 slice of the unscaled Hadamards on those wires applied
+to the state before the block, and t(phi) is the block's phase table.
+M and P(anc1 = 1) do not depend on phi (``_data_slice``), so a trainer
+evaluator computes them once per batch and each loss is one small
+contraction (``_contracted_loss``).
+
 Noise follows a trajectory model: after each gate a Pauli fault fires with
 the configured probability and flipped readout bits are applied at
 measurement; shots sharing a fault pattern are simulated once and sampled
@@ -36,6 +46,8 @@ from .data import RegisterLayout
 from .errors import CapacityError, DegenerateProjectionError, EstimatorStarvedError
 
 _SIMULATE_WIDTH_LIMIT = 24
+# simulate holds a state and its working copy: two at width 24
+_SIMULATE_BYTES = 2 * 16 * 2**24
 
 DEFAULT_P1 = 0.0011
 DEFAULT_P2 = 0.0077
@@ -46,12 +58,11 @@ def simulate(circuit: Circuit) -> np.ndarray:
     """Noiseless statevector after applying every gate to |0...0>.
 
     A circuit that carries uniformly controlled blocks is applied block by
-    block in O(|S| * 2**width) each, without lowering its gates.
+    block in O(|S| * 2**width) each, without lowering its gates.  The state
+    and its working copy must fit ``_SIMULATE_BYTES``.
     """
-    if circuit.width > _SIMULATE_WIDTH_LIMIT:
-        raise CapacityError(f"simulate supports width <= {_SIMULATE_WIDTH_LIMIT}")
-    state = np.zeros(2**circuit.width, dtype=complex)
-    state[0] = 1.0
+    _require_states(2, circuit.width, "simulate")
+    state = _zero_state(circuit.width)
     if circuit._blocks is not None:
         for block in circuit._blocks:
             state = _apply_block(state, block, circuit.width)
@@ -61,17 +72,37 @@ def simulate(circuit: Circuit) -> np.ndarray:
     return state
 
 
+def _require_states(states: float, width: int, what: str) -> None:
+    """Refuse, before allocating, work that holds ``states`` dense states
+    of ``width`` qubits at once beyond ``_SIMULATE_BYTES``."""
+    need = int(states * 16 * 2**width)
+    if need > _SIMULATE_BYTES:
+        raise CapacityError(
+            f"{what} at width {width} needs {need} bytes; the budget is {_SIMULATE_BYTES}"
+        )
+
+
+def _zero_state(width: int) -> np.ndarray:
+    state = np.zeros(2**width, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
 def _apply_block(state: np.ndarray, block: _Block, width: int) -> np.ndarray:
     """H on every wire of S = controls + target, then exp(-i a_j z / 2) on
     each basis state (control index j, target Z eigenvalue z), then H on S
-    again: the block's unitary, equal to its lowered gates.  The 2**-|S| of
-    the two Hadamard layers is applied once, with the diagonal."""
+    again: the block's unitary, equal to its lowered gates."""
     wires = (*block.controls, block.target)
     state = _unscaled_hadamards(state, wires, width)
-    phase = np.exp(-0.5j * block.angles) * 2.0 ** -len(wires)
-    table = np.concatenate([phase, phase.conj()])
-    state *= table[_phase_index(width, block.controls, block.target)]
+    state *= _phase_table(block)[_phase_index(width, block.controls, block.target)]
     return _unscaled_hadamards(state, wires, width)
+
+
+def _phase_table(block: _Block) -> np.ndarray:
+    """A block's diagonal by phase index (see ``_phase_index``), with the
+    2**-|S| of its two unscaled Hadamard layers applied once here."""
+    phase = np.exp(-0.5j * block.angles) * 2.0 ** -(len(block.controls) + 1)
+    return np.concatenate([phase, phase.conj()])
 
 
 @functools.lru_cache(maxsize=8)
@@ -549,6 +580,9 @@ def loss_from_run(
     if estimator not in ("xbasis", "shadow"):
         raise ValueError("estimator must be 'xbasis' or 'shadow'")
     if shots is None:
+        if circuit._blocks is not None:
+            data = circuit._data_slice or _data_slice(circuit, layout)
+            return _contracted_loss(data, circuit._blocks[-1], layout)
         anc1_bit, anc2_bit, col_mask = _selection_masks(layout)
         constant = float(layout.k_pad * layout.m_pad)
         state = simulate(circuit)
@@ -576,6 +610,52 @@ def loss_from_run(
         return LossEstimate(loss, success, effective)
     counts = sample(circuit, shots, seed, noise)
     return _loss_from_counts(counts, layout, confusion)
+
+
+def _data_slice(circuit: Circuit, layout: RegisterLayout) -> tuple[np.ndarray, float]:
+    """(M, P(anc1 = 1)) of a block circuit: the part of its exact loss that
+    does not depend on its last block.
+
+    The last block must be the layout's coefficient block (column qubits
+    -> anc2), whose wires are exactly those post-selection reads as 0.
+    M[l, s] is the amplitude at anc1 = 1, row l and (anc2, columns) = s of
+    the unscaled Hadamards on those wires applied to the state before the
+    block; s is the block's phase index.  The block leaves anc1 alone, so
+    P(anc1 = 1) is read before it.  M is half a state, on top of the state
+    and its working copy.
+    """
+    *data, last = circuit._blocks
+    if circuit.width != layout.width or (last.controls, last.target) != (
+        layout.column_qubits,
+        layout.anc2,
+    ):
+        raise ValueError(
+            "the exact loss needs a block circuit of the layout's width whose"
+            " last block is the column qubits -> anc2 block"
+        )
+    width = circuit.width
+    _require_states(2.5, width, "the exact loss")
+    state = _zero_state(width)
+    for block in data:
+        state = _apply_block(state, block, width)
+    selected = state.reshape(2, 2, -1)[:, 1]  # [anc2, anc1, row and column]
+    success = float(np.vdot(selected, selected).real)
+    # once anc1 is dropped, anc2 is bit n_data of the selected half
+    wires = (*layout.column_qubits, layout.n_data)
+    selected = _unscaled_hadamards(selected.reshape(-1), wires, width - 1)
+    m = selected.reshape(2, -1, layout.m_pad).transpose(1, 0, 2)
+    return m.reshape(-1, 2 * layout.m_pad), success
+
+
+def _contracted_loss(data, block: _Block, layout: RegisterLayout) -> LossEstimate:
+    """Exact loss from a ``_data_slice`` and the last block: C * |M . t|**2."""
+    m, success = data
+    amplitudes = m @ _phase_table(block)
+    return LossEstimate(
+        loss=float(layout.k_pad * layout.m_pad) * float(np.vdot(amplitudes, amplitudes).real),
+        success_probability=success,
+        effective_shots=None,
+    )
 
 
 def _batched_estimates(

@@ -302,6 +302,27 @@ def _padded_phi_angles(phis, layout: RegisterLayout) -> np.ndarray:
     return out
 
 
+def _checked_phis(phis, n_angles: int) -> np.ndarray:
+    phis = np.asarray(phis, dtype=float)
+    if phis.shape != (n_angles,):
+        raise ValueError(f"need {n_angles} angles, got {phis.shape}")
+    return phis
+
+
+def _checked_block(block: _Block) -> _Block:
+    """``block``, after raising what lowering it on first read would."""
+    if not _lowers_cleanly(block):
+        _lower_blocks((block,))
+    return block
+
+
+def _phi_block(phis, layout: RegisterLayout) -> _Block:
+    """The coefficient block of the optimized regression circuit for
+    angles already checked by ``_checked_phis``."""
+    angles = _padded_phi_angles(phis, layout)
+    return _checked_block(_Block(layout.column_qubits, layout.anc2, angles))
+
+
 def build_regression_circuit(table: DataTable, phis, mode: str = "optimized"):
     """Full encode-weight-measure circuit for one (table, phis) instance.
 
@@ -318,24 +339,16 @@ def build_regression_circuit(table: DataTable, phis, mode: str = "optimized"):
     would.
     """
     layout = layout_for(table.n_rows, table.n_features)
-    phis = np.asarray(phis, dtype=float)
-    if phis.shape != (table.n_features + 1,):
-        raise ValueError(
-            f"need {table.n_features + 1} angles, got {phis.shape}"
-        )
+    phis = _checked_phis(phis, table.n_features + 1)
     _require_normalized(table)
     if mode == "naive":
         gates = _ud_naive_gates(table, layout) + _uc_naive_gates(phis, layout)
         gates += [cir.h(q) for q in range(layout.width)]
         return Circuit(layout.width, tuple(gates)), layout
     if mode == "optimized":
-        blocks = (
-            _Block(layout.data_qubits, layout.anc1, 2.0 * flatten_padded(table, layout)),
-            _Block(layout.column_qubits, layout.anc2, _padded_phi_angles(phis, layout)),
-        )
-        if not all(map(_lowers_cleanly, blocks)):
-            _lower_blocks(blocks)  # raises what lowering on first read would
-        return _block_circuit(layout.width, blocks), layout
+        angles = 2.0 * flatten_padded(table, layout)
+        data = _checked_block(_Block(layout.data_qubits, layout.anc1, angles))
+        return _block_circuit(layout.width, (data, _phi_block(phis, layout))), layout
     raise ValueError(f"mode must be 'naive' or 'optimized', got {mode!r}")
 
 

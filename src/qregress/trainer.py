@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import _block_circuit
 from .data import DataTable, layout_for
 from .errors import EstimatorStarvedError
-from .simulator import NoiseModel, loss_from_run
-from .synthesis import build_regression_circuit
+from .simulator import NoiseModel, _data_slice, loss_from_run
+from .synthesis import _checked_phis, _phi_block, build_regression_circuit
 
 _DEGENERATE_COS = 1e-9
 
@@ -274,13 +275,23 @@ class TrainedModel:
     phis: np.ndarray
     weights: np.ndarray | None
     history: list[dict]
-    success_probabilities: list[float] = field(default_factory=list)
+    # mean data-prep ancilla success over every evaluation, None before any
+    mean_success_probability: float | None = None
     n_circuit_evaluations: int = 0
     config: TrainConfig | None = None
 
 
 class _Evaluator:
-    """Loss oracle for one normalized batch; counts every circuit run."""
+    """Loss oracle for one normalized batch; counts every circuit run.
+
+    The first call builds the batch's circuit.  Later calls build only the
+    coefficient block, with the builder's checks and errors, and reuse the
+    data block.  In exact mode the first call also computes the batch's
+    ``simulator._data_slice`` (M and the success probability), which every
+    call hands to ``loss_from_run`` on the circuit it builds, so each exact
+    loss is one small contraction.  The slice lives as long as the
+    evaluator; the circuits that carry it are dropped after each call.
+    """
 
     def __init__(self, batch: DataTable, config: TrainConfig, confusion, seed_base: int):
         self.batch = batch
@@ -289,9 +300,23 @@ class _Evaluator:
         self.seed_base = seed_base
         self.calls = 0
         self.success: list[float] = []
+        self.layout = None
+        self.data_block = None
+        self.data_slice = None
 
     def __call__(self, phis) -> float:
-        circ, layout = build_regression_circuit(self.batch, phis, "optimized")
+        if self.layout is None:
+            circ, self.layout = build_regression_circuit(self.batch, phis, "optimized")
+            self.data_block, phi_block = circ._blocks
+            if self.config.shots is None:
+                self.data_slice = _data_slice(circ, self.layout)
+        else:
+            phis = _checked_phis(phis, self.batch.n_features + 1)
+            phi_block = _phi_block(phis, self.layout)
+        circ = _block_circuit(
+            self.layout.width, (self.data_block, phi_block), self.data_slice
+        )
+        layout = self.layout
         cfg = self.config
         self.calls += 1
         if cfg.shots is None:
@@ -362,6 +387,7 @@ def fit_quantum(
     if config.optimizer == "nelder-mead":
         return _fit_nelder_mead(train, test, config, phis, confusion, rng, model)
 
+    successes: list[float] = []
     state = AdamState.initial(phis)
     n_batches = max(1, train.n_rows // config.batch_size)
     for it in range(config.iterations):
@@ -384,7 +410,7 @@ def fit_quantum(
             except EstimatorStarvedError:
                 starved = True
             model.n_circuit_evaluations += ev.calls
-            model.success_probabilities.extend(ev.success)
+            successes.extend(ev.success)
             if starved:
                 break
         if starved or not grads:
@@ -399,6 +425,12 @@ def fit_quantum(
         )
     model.phis = state.phis
     model.weights = _safe_weights(state.phis)
+    return _with_mean_success(model, successes)
+
+
+def _with_mean_success(model: TrainedModel, successes: list[float]) -> TrainedModel:
+    """Keep only the mean of a fit's per-evaluation success probabilities."""
+    model.mean_success_probability = float(np.mean(successes)) if successes else None
     return model
 
 
@@ -430,12 +462,13 @@ def _fit_nelder_mead(train, test, config, phis, confusion, rng, model) -> Traine
     best, _, _ = nelder_mead_minimize(
         objective, phis, config.iterations, callback=record
     )
+    successes: list[float] = []
     for ev in evaluators:
         model.n_circuit_evaluations += ev.calls
-        model.success_probabilities.extend(ev.success)
+        successes.extend(ev.success)
     model.phis = best
     model.weights = _safe_weights(best)
-    return model
+    return _with_mean_success(model, successes)
 
 
 def _safe_weights(phis):

@@ -53,3 +53,47 @@ def test_observe_mitigate_reads_a_sampled_counts():
     assert seen["mitigation.solves"] == 1
     assert seen["mitigation.outcomes"] == n
     assert seen["mitigation.matrix_entries"] == n * n * circ.width
+
+
+def _exact_fit():
+    table, _ = q.synthetic_linear_table(24, 3, seed=8)
+    train, _ = q.standardize(q.DataTable(table.values))
+    config = q.TrainConfig(iterations=2, batch_size=8, shots=None, seed=4)
+    return train, config
+
+
+def test_exact_fit_calls_the_probed_loss_once_per_evaluation(monkeypatch):
+    # the benchmark's probe wraps qregress.trainer.loss_from_run and fails a
+    # run unless it sees every evaluation the model counts
+    from qregress import trainer
+
+    seen = []
+    original = trainer.loss_from_run
+
+    def probed(*args, **kwargs):
+        seen.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "loss_from_run", probed)
+    train, config = _exact_fit()
+    model = q.fit_quantum(train, config)
+    assert model.n_circuit_evaluations == 2 * 3 * (1 + 4 * 4)
+    assert len(seen) == model.n_circuit_evaluations
+
+
+def test_exact_fit_applies_each_data_block_once_per_batch(monkeypatch):
+    # each batch's evaluator computes its data block's slice once; every
+    # later angle vector is a contraction, with no block applied
+    calls = []
+    original = simulator._apply_block
+
+    def counted(state, block, width):
+        calls.append(block.target)
+        return original(state, block, width)
+
+    monkeypatch.setattr(simulator, "_apply_block", counted)
+    train, config = _exact_fit()
+    model = q.fit_quantum(train, config)
+    layout = q.layout_for(8, 3)
+    assert calls == [layout.anc1] * (2 * 3)
+    assert model.n_circuit_evaluations == 2 * 3 * 17
